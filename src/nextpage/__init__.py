@@ -49,16 +49,14 @@ from .sitegraph import (
     render_graph,
 )
 from .updates import (
-    ModelDelta,
     ModificationEvent,
     SessionEvent,
-    SweepEvent,
-    UpdateConfig,
     apply_event,
     demotion_sweep,
     modification_sweep,
     record_access,
     record_modification,
+    run_sweeps,
 )
 
 __version__ = "0.1.0"

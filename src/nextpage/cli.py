@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .config import EngineConfig, load_config
 from .errors import ConvergenceError, EngineError, FormatError, UnknownPageError, ValidationError
@@ -41,24 +42,10 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _config(args) -> EngineConfig:
+    """The config file's values (defaults without one), with CLI flags on top."""
     cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
-    overrides = {}
-    if getattr(args, "levels", None) is not None:
-        overrides["levels"] = args.levels
-    if getattr(args, "damping", None) is not None:
-        overrides["damping"] = args.damping
-    if getattr(args, "window", None) is not None:
-        overrides["window"] = args.window
-    if overrides:
-        cfg = EngineConfig(
-            levels=overrides.get("levels", cfg.levels),
-            damping=overrides.get("damping", cfg.damping),
-            demote_threshold=cfg.demote_threshold,
-            recency_window=cfg.recency_window,
-            sweep_period=cfg.sweep_period,
-            window=overrides.get("window", cfg.window),
-        )
-    return cfg
+    flags = {name: getattr(args, name, None) for name in ("levels", "damping", "window")}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _build_from_graph(args, cfg: EngineConfig) -> Model:
@@ -93,7 +80,7 @@ def _cmd_rank(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _config(args)
     model = _load_model(args, cfg)
-    prediction = predict(model, args.url, args.window if args.window is not None else cfg.window)
+    prediction = predict(model, args.url, cfg.window)
     payload = {
         "source": prediction.source,
         "window": list(prediction.window),
@@ -120,7 +107,7 @@ def _cmd_replay(args) -> int:
     report = replay(
         model,
         trace,
-        args.window if args.window is not None else cfg.window,
+        cfg.window,
         cfg,
         modlog=modlog,
         window_only_cache=args.cache_mode == "window",

@@ -1,4 +1,5 @@
-"""Engine configuration: `key=value` file with the six tunables.
+"""Engine configuration: the one config type every layer takes, read from a
+`key=value` file with the six tunables.
 
     levels=4              # level-count override (default: ceil(sqrt(p)))
     damping=0.85
@@ -7,7 +8,8 @@
     sweep_period=50
     window=2
 
-All tick values are event counts.  Unknown or repeated keys are errors.
+All tick values are event counts; the three tick thresholds drive the online
+sweeps in updates.py.  Unknown or repeated keys are errors.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .ranking import DEFAULT_DAMPING
-from .updates import (
-    DEFAULT_DEMOTE_THRESHOLD,
-    DEFAULT_RECENCY_WINDOW,
-    DEFAULT_SWEEP_PERIOD,
-    UpdateConfig,
-)
 
+DEFAULT_DEMOTE_THRESHOLD = 100
+DEFAULT_RECENCY_WINDOW = 25
+DEFAULT_SWEEP_PERIOD = 50
 DEFAULT_WINDOW = 2
 
 _INT_KEYS = ("levels", "demote_threshold", "recency_window", "sweep_period", "window")
@@ -47,13 +46,6 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.window < 0:
             raise ConfigError("window must be non-negative")
-
-    def update_config(self) -> UpdateConfig:
-        return UpdateConfig(
-            demote_threshold=self.demote_threshold,
-            recency_window=self.recency_window,
-            sweep_period=self.sweep_period,
-        )
 
 
 def parse_config(text: str) -> EngineConfig:

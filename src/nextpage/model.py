@@ -50,16 +50,14 @@ class PageRecord:
 
 @dataclass
 class Model:
-    """The prediction model: URL-indexed records plus partition metadata.
+    """The prediction model: URL-indexed records, the level cap and the clock.
 
-    Mutated in place by the update engine; `classes` and each record's
-    class_no and ordinal never change after construction.
+    Mutated in place by the update engine; each record's class_no and
+    ordinal never change after construction.
     """
 
     records: dict[str, PageRecord]
     levels: int
-    page_count: int
-    classes: dict[int, set[str]]
     tick: int = 0
 
 
@@ -166,27 +164,18 @@ def build_model(
     level_count, level_map = assign_levels(ranks, levels=levels)
 
     records: dict[str, PageRecord] = {}
-    classes: dict[int, set[str]] = {}
     for url in g.pages:
-        cls = class_map[url]
         records[url] = PageRecord(
             url=url,
             lc=0,
             level=level_map[url],
-            class_no=cls,
+            class_no=class_map[url],
             ts=0,
             dm=latest_dm.get(url, 0),
             links=g.links[url],
             ordinal=ranks.ordinals[url],
         )
-        classes.setdefault(cls, set()).add(url)
-    return Model(
-        records=records,
-        levels=level_count,
-        page_count=g.page_count,
-        classes=classes,
-        tick=0,
-    )
+    return Model(records=records, levels=level_count)
 
 
 def model_to_csv(model: Model) -> str:
@@ -260,7 +249,6 @@ def model_from_csv(
     ordinals = ordinal_ranks(pagerank(graph_for_rank, damping=damping))
 
     records: dict[str, PageRecord] = {}
-    classes: dict[int, set[str]] = {}
     tick = 0
     for lineno, (url, lc, level, cls, ts, dm), links in rows:
         if not 1 <= level <= cap:
@@ -273,6 +261,5 @@ def model_from_csv(
             url=url, lc=lc, level=level, class_no=cls, ts=ts, dm=dm,
             links=links, ordinal=ordinals[url],
         )
-        classes.setdefault(cls, set()).add(url)
         tick = max(tick, ts, dm)
-    return Model(records=records, levels=cap, page_count=p, classes=classes, tick=tick)
+    return Model(records=records, levels=cap, tick=tick)

@@ -23,25 +23,34 @@ class LevelRank:
     rank: int
 
 
-def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
-    """Total preorder on priority pairs.
-
-    Returns 1 if `a` takes precedence, -1 if `b` does, 0 if equivalent.
-    Level dominates; rank only decides within a level.
-    """
-    if a.level != b.level:
-        return 1 if a.level > b.level else -1
-    if a.rank != b.rank:
-        return 1 if a.rank > b.rank else -1
-    return 0
-
-
 @dataclass(frozen=True)
 class Candidate:
     url: str
     priority: LevelRank
     class_no: int
     class_match: bool
+
+
+def candidate_key(c: Candidate) -> tuple[bool, int, int, str]:
+    """The candidate order as a sort key; a smaller key comes first.
+
+    Class match first, then the higher level, then the higher rank within a
+    level, then URL.  `predict` sorts by this key, and `compare_level_rank`
+    reads the priority order off it.
+    """
+    return (not c.class_match, -c.priority.level, -c.priority.rank, c.url)
+
+
+def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
+    """Total preorder on priority pairs.
+
+    Returns 1 if `a` takes precedence, -1 if `b` does, 0 if equivalent.
+    Level dominates; rank only decides within a level.  Decided by
+    `candidate_key` on candidates that differ only in priority.
+    """
+    ka = candidate_key(Candidate(url="", priority=a, class_no=0, class_match=False))
+    kb = candidate_key(Candidate(url="", priority=b, class_no=0, class_match=False))
+    return (ka < kb) - (ka > kb)
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,7 @@ def predict(model: Model, url: str, window: int) -> Prediction:
                 class_match=rec.class_no == source.class_no and rec.class_no != 0,
             )
         )
-    candidates.sort(
-        key=lambda c: (not c.class_match, -c.priority.level, -c.priority.rank, c.url)
-    )
+    candidates.sort(key=candidate_key)
     ordered = tuple(candidates)
     return Prediction(
         source=url,

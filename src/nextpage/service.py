@@ -7,10 +7,11 @@ One JSON object per line in both directions over a plain TCP socket:
     {"kind": "snapshot"}                            -> {"snapshot": "<model csv>"}
 
 Malformed requests get an {"error": ...} response and the connection stays
-usable.  Observes are serialized through one lock and advance the model's
-logical clock by one tick each; sweeps fire whenever the clock reaches a
-multiple of the configured sweep period, so a given request sequence always
-leaves the same model behind.
+usable.  Replies are sent with TCP_NODELAY, so none waits on the client's
+delayed ACK.  Observes are serialized through one lock; each advances the
+model's logical clock one tick, then runs the sweeps due at that tick on the
+schedule replay uses (`updates.run_sweeps`), so a given request sequence
+always leaves the same model behind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import EngineConfig
 from .errors import EngineError
 from .model import Model, model_to_csv
 from .predictor import predict
-from .updates import SessionEvent, SweepEvent, apply_event
+from .updates import SessionEvent, apply_event, run_sweeps
 
 
 class PredictionService:
@@ -62,7 +63,7 @@ class PredictionService:
         if not isinstance(url, str):
             return {"error": "predict needs a string 'url'"}
         window = request.get("window", self.cfg.window)
-        if not isinstance(window, int) or window < 0:
+        if type(window) is not int or window < 0:
             return {"error": "'window' must be a non-negative integer"}
         with self._lock:
             prediction = predict(self.model, url, window)
@@ -77,10 +78,8 @@ class PredictionService:
             if url not in self.model.records:
                 return {"error": f"unknown page {url}"}
             tick = self.model.tick + 1
-            update_cfg = self.cfg.update_config()
-            apply_event(self.model, update_cfg, SessionEvent(session_id=str(session), url=url, tick=tick))
-            if tick % self.cfg.sweep_period == 0:
-                apply_event(self.model, update_cfg, SweepEvent(tick=tick))
+            apply_event(self.model, self.cfg, SessionEvent(session_id=str(session), url=url, tick=tick))
+            run_sweeps(self.model, self.cfg, tick - 1, tick)
         return {"ok": True}
 
     def snapshot_csv(self) -> str:
@@ -89,6 +88,8 @@ class PredictionService:
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+
     def handle(self):
         for raw in self.rfile:
             line = raw.decode("utf-8", errors="replace").strip()

@@ -3,8 +3,8 @@
 Replay drives predict -> observe -> update for every trace event while
 maintaining one simulated prefetch cache per session.  A request is a hit
 when its URL was prefetched earlier in the same session; the first request of
-a session is never scored.  Sweeps fire at every multiple of the configured
-sweep period.
+a session is never scored.  Sweeps follow the one schedule in
+`updates.run_sweeps`, which the service shares.
 
 The generator produces class-affine surfing sessions: from each page the
 next request follows an out-link, staying inside the current class with the
@@ -23,7 +23,7 @@ from .errors import TraceFormatError, UnknownPageError, ValidationError
 from .model import Model, assign_classes, resolve_common_pages
 from .predictor import predict
 from .sitegraph import ModificationLog, SiteGraph
-from .updates import ModificationEvent, SessionEvent, SweepEvent, apply_event
+from .updates import ModificationEvent, SessionEvent, apply_event, run_sweeps
 
 TRACE_CSV_HEADER = "tick,session_id,url"
 REPORT_CSV_HEADER = "window,requests,hits,hit_pct,session"
@@ -68,8 +68,9 @@ def replay(
     Prefetched pages stay cached for the whole session unless
     `window_only_cache` is set, in which case only the latest window counts.
     Modification log entries are interleaved by tick (modifications first on
-    equal ticks).  A sweep due at tick m runs after all events carrying tick
-    m, or before the next later event when no event carries m.
+    equal ticks).  Sweeps follow `run_sweeps`: a sweep due at tick m runs
+    after all events carrying tick m, or before the next later event when no
+    event carries m.
     """
     if window < 0:
         raise ValidationError("window must be non-negative")
@@ -92,21 +93,17 @@ def replay(
         key=lambda item: item[:3],
     )
 
-    update_cfg = cfg.update_config()
     caches: dict[str, set[str]] = {}
     stats: dict[str, SessionStats] = {}
     requests = 0
     hits = 0
-    next_sweep = cfg.sweep_period
+    previous = 0
 
     for tick, group in groupby(timeline, key=lambda item: item[0]):
-        while next_sweep < tick:
-            apply_event(model, update_cfg, SweepEvent(tick=next_sweep))
-            next_sweep += cfg.sweep_period
-
+        run_sweeps(model, cfg, previous, tick - 1)
         for _, _, _, event in group:
             if isinstance(event, ModificationEvent):
-                apply_event(model, update_cfg, event)
+                apply_event(model, cfg, event)
                 continue
             first = event.session_id not in stats
             session = stats.setdefault(event.session_id, SessionStats())
@@ -117,16 +114,15 @@ def replay(
                 if event.url in cache:
                     session.hits += 1
                     hits += 1
-            apply_event(model, update_cfg, event)
+            apply_event(model, cfg, event)
             prediction = predict(model, event.url, window)
             if window_only_cache:
                 caches[event.session_id] = set(prediction.window)
             else:
                 cache.update(prediction.window)
 
-        if next_sweep == tick:
-            apply_event(model, update_cfg, SweepEvent(tick=next_sweep))
-            next_sweep += cfg.sweep_period
+        run_sweeps(model, cfg, tick - 1, tick)
+        previous = tick
 
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 

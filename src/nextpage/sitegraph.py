@@ -74,9 +74,6 @@ class SiteGraph:
     def page_count(self) -> int:
         return len(self.pages)
 
-    def out_links(self, url: str) -> tuple[str, ...]:
-        return self.links[url]
-
 
 def _resolve_dominants(declared, home, links):
     """Explicit dominants win; otherwise the home page's out-links in file order."""

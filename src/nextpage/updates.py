@@ -8,33 +8,19 @@ modification sweep raises freshly modified pages one level.  Class numbers
 are assigned at build time and never change here.
 
 All times are logical ticks (event indices), never wall clock, so any replay
-of the same event stream produces the same model.
+of the same event stream produces the same model.  `run_sweeps` is the one
+sweep schedule: both sweeps, demotion first, at every positive multiple of
+`sweep_period`.  Replay and the service both call it, so the same event
+stream leaves the same model on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownPageError, ValidationError
+from .config import EngineConfig
+from .errors import UnknownPageError
 from .model import Model
-
-DEFAULT_DEMOTE_THRESHOLD = 100
-DEFAULT_RECENCY_WINDOW = 25
-DEFAULT_SWEEP_PERIOD = 50
-
-
-@dataclass(frozen=True)
-class UpdateConfig:
-    """Tick thresholds driving the periodic sweeps; all strictly positive."""
-
-    demote_threshold: int = DEFAULT_DEMOTE_THRESHOLD
-    recency_window: int = DEFAULT_RECENCY_WINDOW
-    sweep_period: int = DEFAULT_SWEEP_PERIOD
-
-    def __post_init__(self):
-        for name in ("demote_threshold", "recency_window", "sweep_period"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -52,21 +38,6 @@ class ModificationEvent:
 
     url: str
     tick: int
-
-
-@dataclass(frozen=True)
-class SweepEvent:
-    """Run both periodic sweeps (demotion first) at `tick`."""
-
-    tick: int
-
-
-@dataclass(frozen=True)
-class ModelDelta:
-    """URLs whose level changed while handling one event."""
-
-    promoted: tuple[str, ...] = ()
-    demoted: tuple[str, ...] = ()
 
 
 def record_access(model: Model, url: str, now: int) -> bool:
@@ -100,7 +71,7 @@ def record_modification(model: Model, url: str, now: int) -> None:
     rec.dm = now
 
 
-def demotion_sweep(model: Model, cfg: UpdateConfig, now: int) -> list[str]:
+def demotion_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     """Drop every page idle for demote_threshold ticks one level (floor 1)."""
     demoted = []
     for rec in model.records.values():
@@ -112,7 +83,7 @@ def demotion_sweep(model: Model, cfg: UpdateConfig, now: int) -> list[str]:
     return demoted
 
 
-def modification_sweep(model: Model, cfg: UpdateConfig, now: int) -> list[str]:
+def modification_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     """Raise pages modified within recency_window one level (cap L).
 
     Each page's newest examined dm is remembered, so a single modification is
@@ -133,19 +104,28 @@ def modification_sweep(model: Model, cfg: UpdateConfig, now: int) -> list[str]:
 
 def apply_event(
     model: Model,
-    cfg: UpdateConfig,
-    event: SessionEvent | ModificationEvent | SweepEvent,
-) -> ModelDelta:
-    """Dispatch one event and advance the model clock monotonically."""
-    if not isinstance(event, (SessionEvent, ModificationEvent, SweepEvent)):
+    cfg: EngineConfig,
+    event: SessionEvent | ModificationEvent,
+) -> None:
+    """Apply one access or modification and advance the model clock monotonically."""
+    if not isinstance(event, (SessionEvent, ModificationEvent)):
         raise TypeError(f"unsupported event {event!r}")
     model.tick = max(model.tick, event.tick)
     if isinstance(event, SessionEvent):
-        promoted = record_access(model, event.url, event.tick)
-        return ModelDelta(promoted=(event.url,) if promoted else ())
-    if isinstance(event, ModificationEvent):
+        record_access(model, event.url, event.tick)
+    else:
         record_modification(model, event.url, event.tick)
-        return ModelDelta()
-    demoted = demotion_sweep(model, cfg, event.tick)
-    promoted = modification_sweep(model, cfg, event.tick)
-    return ModelDelta(promoted=tuple(promoted), demoted=tuple(demoted))
+
+
+def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None:
+    """Run both sweeps, demotion first, at each positive multiple of
+    `sweep_period` in the tick interval (after, upto], advancing the clock.
+
+    Stateless: the caller says which ticks have passed since its last call,
+    so the schedule lives here and nowhere else.
+    """
+    period = cfg.sweep_period
+    for now in range((max(after, 0) // period + 1) * period, upto + 1, period):
+        model.tick = max(model.tick, now)
+        demotion_sweep(model, cfg, now)
+        modification_sweep(model, cfg, now)

@@ -72,6 +72,33 @@ def micro_graph_text() -> str:
     return MICRO_GRAPH_TEXT
 
 
+def classes_of(model) -> dict[int, set[str]]:
+    """The model's pages grouped by class number."""
+    groups: dict[int, set[str]] = {}
+    for url, rec in model.records.items():
+        groups.setdefault(rec.class_no, set()).add(url)
+    return groups
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Every sweep run from now on, as (sweep name, tick, moved URLs), in
+    call order.  The sweeps are wrapped where `run_sweeps` looks them up,
+    in the updates module's globals."""
+    import nextpage.updates as updates
+
+    log = []
+    for name in ("demotion_sweep", "modification_sweep"):
+
+        def recorded(model, cfg, now, _sweep=getattr(updates, name), _name=name):
+            moved = _sweep(model, cfg, now)
+            log.append((_name, now, moved))
+            return moved
+
+        monkeypatch.setattr(updates, name, recorded)
+    return log
+
+
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import classes_of
 from nextpage.cli import EXIT_OK, main
 from nextpage.config import EngineConfig
 from nextpage.model import (
@@ -30,7 +31,7 @@ from nextpage.ranking import pagerank, rank_pages
 from nextpage.service import PredictionServer, PredictionService
 from nextpage.simulate import generate_trace, parse_trace, replay
 from nextpage.sitegraph import SiteGraph, parse_graph
-from nextpage.updates import SweepEvent, UpdateConfig, apply_event, record_access
+from nextpage.updates import record_access, run_sweeps
 from oracles import (
     all_digraphs,
     dense_pagerank,
@@ -89,7 +90,7 @@ def test_criterion_02_partition_invariants():
         assert model.levels == cap
 
         union: set[str] = set()
-        for members in model.classes.values():
+        for members in classes_of(model).values():
             assert not (union & members)
             union |= members
         assert union == set(g.pages)
@@ -126,9 +127,7 @@ def _one_page_model(levels: int, level: int, lc: int = 0) -> Model:
     rec = PageRecord(
         url="u", lc=lc, level=level, class_no=1, ts=0, dm=0, links=(), ordinal=1
     )
-    return Model(
-        records={"u": rec}, levels=levels, page_count=1, classes={1: {"u"}}
-    )
+    return Model(records={"u": rec}, levels=levels)
 
 
 def test_criterion_05_promotion_arithmetic():
@@ -171,11 +170,11 @@ def test_criterion_05_promotion_arithmetic():
     assert cases >= 10_000
 
 
-def test_criterion_06_decay_reaches_the_floor_and_stays():
+def test_criterion_06_decay_reaches_the_floor_and_stays(sweep_log):
     """Sweeps alone flatten any quiet model within (L-1)*demote_threshold
     ticks; afterwards nothing moves."""
     threshold = 5
-    cfg = UpdateConfig(demote_threshold=threshold, recency_window=3, sweep_period=1)
+    cfg = EngineConfig(demote_threshold=threshold, recency_window=3, sweep_period=1)
     rng = random.Random(43)
     for case in range(30):
         g = random_site_graph(rng, rng.randint(2, 10), with_home=True)
@@ -185,12 +184,12 @@ def test_criterion_06_decay_reaches_the_floor_and_stays():
                 rec.level = rng.randint(1, model.levels)
                 rec.lc = 0 if rec.level == model.levels else rng.randint(0, model.levels - 1)
         bound = (model.levels - 1) * threshold
-        for now in range(1, bound + 1):
-            apply_event(model, cfg, SweepEvent(now))
+        run_sweeps(model, cfg, 0, bound)
         assert all(r.level == 1 for r in model.records.values())
-        for now in range(bound + 1, bound + 2 * threshold + 1):
-            delta = apply_event(model, cfg, SweepEvent(now))
-            assert delta.promoted == () and delta.demoted == ()
+        sweep_log.clear()
+        run_sweeps(model, cfg, bound, bound + 2 * threshold)
+        assert len(sweep_log) == 2 * 2 * threshold
+        assert all(moved == [] for _, _, moved in sweep_log)
 
     # worst case pinned: a full ladder reaches the floor exactly at the bound
     g = demo_site()
@@ -199,10 +198,9 @@ def test_criterion_06_decay_reaches_the_floor_and_stays():
         rec.level = model.levels
         rec.lc = 0
     bound = (model.levels - 1) * threshold
-    for now in range(1, bound):
-        apply_event(model, cfg, SweepEvent(now))
+    run_sweeps(model, cfg, 0, bound - 1)
     assert any(r.level > 1 for r in model.records.values())
-    apply_event(model, cfg, SweepEvent(bound))
+    run_sweeps(model, cfg, bound - 1, bound)
     assert all(r.level == 1 for r in model.records.values())
 
 

@@ -33,13 +33,6 @@ class TestEngineConfig:
     def test_window_zero_allowed(self):
         assert EngineConfig(window=0).window == 0
 
-    def test_update_config_projection(self):
-        cfg = EngineConfig(demote_threshold=7, recency_window=3, sweep_period=2)
-        update = cfg.update_config()
-        assert update.demote_threshold == 7
-        assert update.recency_window == 3
-        assert update.sweep_period == 2
-
 
 class TestParseConfig:
     def test_full_file(self):

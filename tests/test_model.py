@@ -9,6 +9,7 @@ from conftest import (
     MICRO_LEVELS,
     MICRO_ORDINALS,
     MICRO_PROVISIONAL,
+    classes_of,
 )
 from nextpage.errors import ModelFormatError, ValidationError
 from nextpage.model import (
@@ -191,9 +192,9 @@ class TestBuildModel:
     def test_micro_site(self, micro_site):
         model = build_model(micro_site, rank_pages(micro_site))
         assert model.levels == 3
-        assert model.page_count == 6
+        assert len(model.records) == 6
         assert model.tick == 0
-        assert model.classes == {
+        assert classes_of(model) == {
             0: {"H"},
             1: {"S", "a", "b", "c"},
             2: {"M"},
@@ -232,7 +233,7 @@ class TestBuildModel:
     def test_every_page_gets_a_record(self, g):
         model = build_model(g, rank_pages(g))
         assert set(model.records) == set(g.pages)
-        assert set().union(*model.classes.values()) == set(g.pages)
+        assert set().union(*classes_of(model).values()) == set(g.pages)
 
 
 MICRO_CSV = """\
@@ -258,8 +259,8 @@ class TestModelCsv:
         reloaded = model_from_csv(model_to_csv(model))
         assert reloaded.records == model.records
         assert reloaded.levels == model.levels
-        assert reloaded.classes == model.classes
-        assert reloaded.page_count == model.page_count
+        assert classes_of(reloaded) == classes_of(model)
+        assert len(reloaded.records) == len(model.records)
 
     def test_reload_recovers_ordinals(self):
         reloaded = model_from_csv(MICRO_CSV)

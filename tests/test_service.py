@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,10 @@ from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
 from nextpage.service import PredictionServer, PredictionService
+from nextpage.simulate import parse_trace, replay
+from nextpage.sitegraph import parse_graph
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -40,6 +45,7 @@ class TestPredictRequests:
             ({"kind": "predict", "url": 7}, "string 'url'"),
             ({"kind": "predict", "url": "H", "window": -1}, "non-negative"),
             ({"kind": "predict", "url": "H", "window": "2"}, "non-negative"),
+            ({"kind": "predict", "url": "H", "window": True}, "non-negative"),
         ],
     )
     def test_bad_requests(self, service, request_, fragment):
@@ -77,6 +83,28 @@ class TestObserveRequests:
         levels = {u: r.level for u, r in model.records.items()}
         assert levels == {"H": 2, "M": 1, "S": 1, "a": 1, "b": 2, "c": 2}
         assert model.tick == 3
+
+
+class TestReplayAgreement:
+    @pytest.mark.parametrize("sweep_period", [50, 20, 1])
+    def test_observes_leave_the_replayed_model(self, sweep_period):
+        """The demo trace's observes, sent one by one, leave the same model
+        as replaying the trace: both paths share one sweep schedule."""
+        site = parse_graph((DATA / "demo_site.txt").read_text())
+        trace = parse_trace((DATA / "demo_trace.csv").read_text())
+        # the service clock counts observes, so the trace must tick 1, 2, ...
+        assert [ev.tick for ev in trace] == list(range(1, len(trace) + 1))
+        cfg = EngineConfig(sweep_period=sweep_period)
+
+        replayed = build_model(site, rank_pages(site))
+        replay(replayed, trace, 3, cfg)
+        service = PredictionService(build_model(site, rank_pages(site)), cfg)
+        for ev in trace:
+            line = json.dumps({"kind": "observe", "url": ev.url, "session": ev.session_id})
+            assert json.loads(service.handle_line(line)) == {"ok": True}
+
+        assert service.snapshot_csv() == model_to_csv(replayed)
+        assert model_to_csv(replayed) != model_to_csv(build_model(site, rank_pages(site)))
 
 
 class TestProtocol:
@@ -167,6 +195,24 @@ class TestSocketTransport:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+    def test_replies_are_sent_with_nodelay(self, service):
+        server = PredictionServer(("127.0.0.1", 0), service)
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as client:
+                client.sendall(b'{"kind": "predict", "url": "H", "window": 1}\n')
+                client.shutdown(socket.SHUT_WR)
+                conn, address = server.get_request()
+                try:
+                    # runs the real handler on the accepted socket until EOF
+                    server.finish_request(conn, address)
+                    assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+                finally:
+                    conn.close()
+                with client.makefile("rb") as reader:
+                    assert json.loads(reader.readline()) == {"window": ["S"]}
+        finally:
+            server.server_close()
 
     def test_blank_lines_ignored(self, micro_site):
         model = build_model(micro_site, rank_pages(micro_site))

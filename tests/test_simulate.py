@@ -17,7 +17,13 @@ from nextpage.simulate import (
     trace_to_csv,
 )
 from nextpage.sitegraph import ModificationLog, SiteGraph
-from nextpage.updates import ModificationEvent, SessionEvent, SweepEvent, apply_event
+from nextpage.updates import (
+    ModificationEvent,
+    SessionEvent,
+    apply_event,
+    demotion_sweep,
+    modification_sweep,
+)
 
 
 def graph(pages, links, dominants, home=None):
@@ -192,8 +198,8 @@ class TestReplayModelEvolution:
 def oracle_replay(model, trace, window, cfg, modlog=None):
     """Tick-by-tick reference replay: walk every integer tick, apply the
     modifications then the request carrying it, and sweep on period
-    multiples.  Slower but with no merge or scheduling machinery."""
-    update_cfg = cfg.update_config()
+    multiples.  Slower but with no merge or scheduling machinery, and it
+    calls the two sweeps itself rather than through `run_sweeps`."""
     mods_at = {}
     if modlog is not None:
         for url, tick in modlog.entries:
@@ -205,7 +211,7 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
     requests = hits = 0
     for t in range(0, end + 1):
         for url in mods_at.get(t, []):
-            apply_event(model, update_cfg, ModificationEvent(url, t))
+            apply_event(model, cfg, ModificationEvent(url, t))
         ev = event_at.get(t)
         if ev is not None:
             first = ev.session_id not in stats
@@ -217,10 +223,11 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
                 if ev.url in cache:
                     stats[ev.session_id].hits += 1
                     hits += 1
-            apply_event(model, update_cfg, ev)
+            apply_event(model, cfg, ev)
             cache.update(predict(model, ev.url, window).window)
         if t > 0 and t % cfg.sweep_period == 0:
-            apply_event(model, update_cfg, SweepEvent(t))
+            demotion_sweep(model, cfg, t)
+            modification_sweep(model, cfg, t)
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 
 

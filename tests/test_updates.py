@@ -1,24 +1,27 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nextpage.errors import UnknownPageError, ValidationError
-from nextpage.model import build_model
-from nextpage.ranking import rank_pages
-from nextpage.updates import (
+from nextpage.config import (
     DEFAULT_DEMOTE_THRESHOLD,
     DEFAULT_RECENCY_WINDOW,
     DEFAULT_SWEEP_PERIOD,
-    ModelDelta,
+    EngineConfig,
+)
+from nextpage.errors import ConfigError, UnknownPageError
+from nextpage.model import build_model
+from nextpage.ranking import rank_pages
+from nextpage.updates import (
     ModificationEvent,
     SessionEvent,
-    SweepEvent,
-    UpdateConfig,
     apply_event,
     demotion_sweep,
     modification_sweep,
     record_access,
     record_modification,
+    run_sweeps,
 )
 from strategies import site_graphs
 
@@ -29,7 +32,9 @@ def model(micro_site):
     return build_model(micro_site, rank_pages(micro_site))
 
 
-CFG = UpdateConfig(demote_threshold=10, recency_window=5, sweep_period=4)
+CFG = EngineConfig(demote_threshold=10, recency_window=5, sweep_period=4)
+# Same thresholds, sweeping at every tick.
+EVERY_TICK = replace(CFG, sweep_period=1)
 
 
 class TestRecordAccess:
@@ -157,40 +162,45 @@ class TestModificationSweep:
 
 class TestApplyEvent:
     def test_access_dispatch(self, model):
-        delta = apply_event(model, CFG, SessionEvent("s1", "H", 1))
-        assert delta == ModelDelta()
+        rec = model.records["H"]
+        assert apply_event(model, CFG, SessionEvent("s1", "H", 1)) is None
+        assert (rec.level, rec.lc) == (1, 1)
         apply_event(model, CFG, SessionEvent("s1", "H", 2))
-        delta = apply_event(model, CFG, SessionEvent("s1", "H", 3))
-        assert delta == ModelDelta(promoted=("H",))
+        apply_event(model, CFG, SessionEvent("s1", "H", 3))
+        assert (rec.level, rec.lc) == (2, 0)
         assert model.tick == 3
 
     def test_modification_dispatch(self, model):
-        delta = apply_event(model, CFG, ModificationEvent("a", 4))
-        assert delta == ModelDelta()
+        level = model.records["a"].level
+        assert apply_event(model, CFG, ModificationEvent("a", 4)) is None
         assert model.records["a"].dm == 4
+        assert model.records["a"].level == level
 
     def test_clock_never_runs_backward(self, model):
         apply_event(model, CFG, SessionEvent("s1", "H", 9))
         apply_event(model, CFG, SessionEvent("s2", "S", 3))
         assert model.tick == 9
 
-    def test_sweep_runs_demotion_before_modification(self, model):
+    def test_sweep_runs_demotion_before_modification(self, model, sweep_log):
         # "a" is both idle past the threshold and freshly modified.  Demotion
         # first means: drop 2 -> 1, then promote 1 -> 2 with refreshed state.
         # The opposite order would leave it at level 3.
         apply_event(model, CFG, ModificationEvent("a", 9))
-        delta = apply_event(model, CFG, SweepEvent(10))
-        assert "a" in delta.demoted
-        assert "a" in delta.promoted
+        run_sweeps(model, EVERY_TICK, 9, 10)
+        (first, t1, demoted), (second, t2, promoted) = sweep_log
+        assert (first, t1, second, t2) == ("demotion_sweep", 10, "modification_sweep", 10)
+        assert "a" in demoted
+        assert "a" in promoted
         assert model.records["a"].level == 2
         assert model.records["a"].ts == 10
 
-    def test_sweep_delta_frozen_example(self, model):
+    def test_sweep_delta_frozen_example(self, model, sweep_log):
         apply_event(model, CFG, SessionEvent("s1", "c", 8))
         apply_event(model, CFG, ModificationEvent("H", 9))
-        delta = apply_event(model, CFG, SweepEvent(10))
-        assert set(delta.demoted) == {"S", "a", "b"}
-        assert delta.promoted == ("H",)
+        run_sweeps(model, EVERY_TICK, 9, 10)
+        (_, _, demoted), (_, _, promoted) = sweep_log
+        assert set(demoted) == {"S", "a", "b"}
+        assert promoted == ["H"]
         levels = {u: model.records[u].level for u in model.records}
         assert levels == {"H": 2, "M": 1, "S": 1, "a": 1, "b": 2, "c": 3}
 
@@ -199,9 +209,33 @@ class TestApplyEvent:
             apply_event(model, CFG, object())
 
 
+class TestRunSweeps:
+    def test_sweeps_each_period_multiple_in_half_open_interval(self, model, sweep_log):
+        run_sweeps(model, CFG, 3, 12)
+        assert [(name, now) for name, now, _ in sweep_log] == [
+            (name, now)
+            for now in (4, 8, 12)
+            for name in ("demotion_sweep", "modification_sweep")
+        ]
+
+    @pytest.mark.parametrize("after,upto", [(4, 7), (8, 8), (0, 3), (-1, 0), (-9, 3)])
+    def test_no_multiple_no_sweep(self, model, sweep_log, after, upto):
+        run_sweeps(model, CFG, after, upto)
+        assert sweep_log == []
+        assert model.tick == 0
+
+    def test_advances_the_clock_to_each_sweep(self, model):
+        run_sweeps(model, CFG, 0, 10)
+        assert model.tick == 8
+        run_sweeps(model, CFG, 0, 4)
+        assert model.tick == 8
+
+
 class TestUpdateConfig:
+    """The sweep thresholds, as EngineConfig holds them."""
+
     def test_defaults(self):
-        cfg = UpdateConfig()
+        cfg = EngineConfig()
         assert cfg.demote_threshold == DEFAULT_DEMOTE_THRESHOLD == 100
         assert cfg.recency_window == DEFAULT_RECENCY_WINDOW == 25
         assert cfg.sweep_period == DEFAULT_SWEEP_PERIOD == 50
@@ -215,20 +249,22 @@ class TestUpdateConfig:
         ],
     )
     def test_positivity(self, kwargs):
-        with pytest.raises(ValidationError):
-            UpdateConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            EngineConfig(**kwargs)
 
 
 class TestDecay:
-    def test_idle_model_reaches_floor_within_bound(self, model):
+    def test_idle_model_reaches_floor_within_bound(self, model, sweep_log):
         """With no traffic, per-tick sweeps flatten the ladder in
         (levels - 1) * demote_threshold ticks, then nothing else moves."""
         bound = (model.levels - 1) * CFG.demote_threshold
-        for now in range(1, bound + 1):
-            apply_event(model, CFG, SweepEvent(now))
+        run_sweeps(model, EVERY_TICK, 0, bound)
         assert all(r.level == 1 for r in model.records.values())
-        for now in range(bound + 1, bound + 2 * CFG.demote_threshold):
-            assert apply_event(model, CFG, SweepEvent(now)) == ModelDelta()
+        sweep_log.clear()
+        quiet = 2 * CFG.demote_threshold - 1
+        run_sweeps(model, EVERY_TICK, bound, bound + quiet)
+        assert len(sweep_log) == 2 * quiet
+        assert all(moved == [] for _, _, moved in sweep_log)
 
 
 @st.composite
@@ -250,7 +286,7 @@ def event_streams(draw):
         elif kind == 1:
             events.append(ModificationEvent(url, tick))
         else:
-            events.append(SweepEvent(tick))
+            events.append(tick)  # both sweeps at this tick
     return events
 
 
@@ -269,8 +305,13 @@ class TestStreamInvariants:
         model = build_model(g, rank_pages(g))
         frozen = {u: (r.class_no, r.ordinal, r.links) for u, r in model.records.items()}
         for event in events:
-            apply_event(model, CFG, event)
-            assert model.tick >= event.tick
+            if isinstance(event, int):
+                run_sweeps(model, EVERY_TICK, event - 1, event)
+                tick = event
+            else:
+                apply_event(model, CFG, event)
+                tick = event.tick
+            assert model.tick >= tick
             for rec in model.records.values():
                 assert 1 <= rec.level <= model.levels
                 assert 0 <= rec.lc <= model.levels - 1
