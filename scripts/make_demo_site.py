@@ -87,7 +87,7 @@ def main() -> None:
 
     site = build_site()
     (data / "demo_site.txt").write_text(render_graph(site))
-    print(f"site: {site.page_count} pages -> data/demo_site.txt")
+    print(f"site: {len(site.pages)} pages -> data/demo_site.txt")
 
     trace = generate_trace(site, SESSIONS, LENGTH, AFFINITY, TRACE_SEED)
     (data / "demo_trace.csv").write_text(trace_to_csv(trace))

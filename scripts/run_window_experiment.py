@@ -58,7 +58,7 @@ def main() -> None:
         spread = statistics.stdev(pcts) if len(pcts) > 1 else 0.0
         rows.append((window, statistics.mean(pcts), min(pcts), max(pcts), spread))
 
-    print(f"site: {args.graph} ({site.page_count} pages)")
+    print(f"site: {args.graph} ({len(site.pages)} pages)")
     print(
         f"traces: {args.seeds} seeds x {args.sessions} sessions"
         f" x {args.length} requests, affinity {args.affinity}"

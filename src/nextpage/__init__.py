@@ -43,7 +43,6 @@ from .simulate import (
 from .sitegraph import (
     ModificationLog,
     SiteGraph,
-    derive_dominants,
     parse_graph,
     parse_modlog,
     render_graph,

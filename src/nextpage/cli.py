@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .config import EngineConfig, load_config
-from .errors import ConvergenceError, EngineError, FormatError, UnknownPageError, ValidationError
+from .errors import ConvergenceError, EngineError
 from .model import Model, build_model, model_from_csv, model_to_csv
 from .predictor import predict
 from .ranking import rank_pages
@@ -223,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as e:
         print(f"nextpage: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (FormatError, ValidationError, UnknownPageError) as e:
-        print(f"nextpage: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except OSError as e:
         print(f"nextpage: {e}", file=sys.stderr)
         return EXIT_IO

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ModelFormatError, ValidationError
 from .ranking import DEFAULT_DAMPING, RankAssignment, ordinal_ranks, pagerank
-from .sitegraph import ModificationLog, SiteGraph, derive_dominants
+from .sitegraph import ModificationLog, SiteGraph
 
 MODEL_CSV_HEADER = "key,url,lc,level,class,ts,dm,links"
 
@@ -68,13 +68,12 @@ def assign_classes(g: SiteGraph) -> tuple[dict[str, int], list[str]]:
     list of common pages in the order their class conflict was discovered.
     Dominant pages keep their own class and are never marked common.
     """
-    dominants = derive_dominants(g)
-    classes: dict[str, int] = {d: i for i, d in enumerate(dominants, start=1)}
-    dominant_set = set(dominants)
+    classes: dict[str, int] = {d: i for i, d in enumerate(g.dominants, start=1)}
+    dominant_set = set(g.dominants)
     common: list[str] = []
     common_set: set[str] = set()
 
-    frontier = deque(dominants)
+    frontier = deque(g.dominants)
     while frontier:
         page = frontier.popleft()
         page_class = classes[page]

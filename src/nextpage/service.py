@@ -45,8 +45,7 @@ class PredictionService:
             if kind == "observe":
                 return self._observe(request)
             if kind == "snapshot":
-                with self._lock:
-                    return {"snapshot": model_to_csv(self.model)}
+                return {"snapshot": self.snapshot_csv()}
             return {"error": f"unknown kind {kind!r}"}
         except EngineError as e:
             return {"error": str(e)}
@@ -75,10 +74,8 @@ class PredictionService:
             return {"error": "observe needs a string 'url'"}
         session = request.get("session", "")
         with self._lock:
-            if url not in self.model.records:
-                return {"error": f"unknown page {url}"}
             tick = self.model.tick + 1
-            apply_event(self.model, self.cfg, SessionEvent(session_id=str(session), url=url, tick=tick))
+            apply_event(self.model, SessionEvent(session_id=str(session), url=url, tick=tick))
             run_sweeps(self.model, self.cfg, tick - 1, tick)
         return {"ok": True}
 

@@ -103,7 +103,7 @@ def replay(
         run_sweeps(model, cfg, previous, tick - 1)
         for _, _, _, event in group:
             if isinstance(event, ModificationEvent):
-                apply_event(model, cfg, event)
+                apply_event(model, event)
                 continue
             first = event.session_id not in stats
             session = stats.setdefault(event.session_id, SessionStats())
@@ -114,7 +114,7 @@ def replay(
                 if event.url in cache:
                     session.hits += 1
                     hits += 1
-            apply_event(model, cfg, event)
+            apply_event(model, event)
             prediction = predict(model, event.url, window)
             if window_only_cache:
                 caches[event.session_id] = set(prediction.window)

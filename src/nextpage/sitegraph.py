@@ -70,10 +70,6 @@ class SiteGraph:
         if self.home is not None and self.home not in seen:
             raise ValidationError(f"home {self.home} is not a declared page")
 
-    @property
-    def page_count(self) -> int:
-        return len(self.pages)
-
 
 def _resolve_dominants(declared, home, links):
     """Explicit dominants win; otherwise the home page's out-links in file order."""
@@ -88,11 +84,6 @@ def _resolve_dominants(declared, home, links):
     if not seeds:
         raise GraphFormatError(f"home page {home} has no out-links to use as dominants")
     return tuple(seeds)
-
-
-def derive_dominants(g: SiteGraph) -> tuple[str, ...]:
-    """Deterministic dominant list for `g` (explicit list, else home out-links)."""
-    return _resolve_dominants(g.dominants, g.home, g.links)
 
 
 def parse_graph(text: str) -> SiteGraph:

@@ -8,8 +8,10 @@ modification sweep raises freshly modified pages one level.  Class numbers
 are assigned at build time and never change here.
 
 All times are logical ticks (event indices), never wall clock, so any replay
-of the same event stream produces the same model.  `run_sweeps` is the one
-sweep schedule: both sweeps, demotion first, at every positive multiple of
+of the same event stream produces the same model.  `apply_event` records one
+event and only then advances the clock, so an event for an unknown page is
+rejected without touching the model.  `run_sweeps` is the one sweep
+schedule: both sweeps, demotion first, at every positive multiple of
 `sweep_period`.  Replay and the service both call it, so the same event
 stream leaves the same model on either path.
 """
@@ -102,19 +104,19 @@ def modification_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     return promoted
 
 
-def apply_event(
-    model: Model,
-    cfg: EngineConfig,
-    event: SessionEvent | ModificationEvent,
-) -> None:
-    """Apply one access or modification and advance the model clock monotonically."""
-    if not isinstance(event, (SessionEvent, ModificationEvent)):
-        raise TypeError(f"unsupported event {event!r}")
-    model.tick = max(model.tick, event.tick)
+def apply_event(model: Model, event: SessionEvent | ModificationEvent) -> None:
+    """Apply one access or modification, then advance the model clock monotonically.
+
+    An event for an unknown page raises UnknownPageError and leaves the
+    model, clock included, untouched.
+    """
     if isinstance(event, SessionEvent):
         record_access(model, event.url, event.tick)
-    else:
+    elif isinstance(event, ModificationEvent):
         record_modification(model, event.url, event.tick)
+    else:
+        raise TypeError(f"unsupported event {event!r}")
+    model.tick = max(model.tick, event.tick)
 
 
 def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None:

@@ -86,7 +86,7 @@ def test_criterion_02_partition_invariants():
     for _ in range(1000):
         g = random_site_graph(rng, rng.randint(1, 12), with_home=True)
         model = build_model(g, rank_pages(g))
-        cap = math.isqrt(g.page_count - 1) + 1
+        cap = math.isqrt(len(g.pages) - 1) + 1
         assert model.levels == cap
 
         union: set[str] = set()
@@ -325,7 +325,7 @@ class TestShippedArtifacts:
 
     def test_demo_site_shape(self):
         site = demo_site()
-        assert site.page_count == 105
+        assert len(site.pages) == 105
         assert len(site.dominants) == 8
         assert site.home == "/"
 

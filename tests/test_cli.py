@@ -1,12 +1,15 @@
 import json
+import os
 import signal
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import nextpage
 from conftest import MICRO_GRAPH_TEXT
 from nextpage.cli import (
     EXIT_INVALID,
@@ -233,6 +236,13 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def _child_env():
+    """The environment with the imported `nextpage` first on PYTHONPATH."""
+    src = str(Path(nextpage.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestServeSubprocess:
     def observe(self, fh, url):
         fh.write(json.dumps({"kind": "observe", "url": url, "session": "s1"}).encode() + b"\n")
@@ -247,6 +257,7 @@ class TestServeSubprocess:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=_child_env(),
         )
         try:
             ready = proc.stdout.readline().strip()

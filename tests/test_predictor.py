@@ -183,7 +183,7 @@ class TestPredict:
             by_priority = compare_level_rank(a.priority, b.priority)
             if by_priority:
                 return by_priority
-            return -1 if a.url < b.url else 1
+            return 1 if a.url < b.url else -1  # smaller URL first
 
         for url in g.pages:
             pred = predict(model, url, window=w)

@@ -95,7 +95,7 @@ class TestOrdinalRanks:
     @given(site_graphs(min_pages=1, max_pages=8))
     def test_permutation_of_one_to_p(self, g):
         ordinals = ordinal_ranks(pagerank(g))
-        assert sorted(ordinals.values()) == list(range(1, g.page_count + 1))
+        assert sorted(ordinals.values()) == list(range(1, len(g.pages) + 1))
 
     @given(site_graphs(min_pages=2, max_pages=8))
     def test_order_respects_scores(self, g):

@@ -211,7 +211,7 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
     requests = hits = 0
     for t in range(0, end + 1):
         for url in mods_at.get(t, []):
-            apply_event(model, cfg, ModificationEvent(url, t))
+            apply_event(model, ModificationEvent(url, t))
         ev = event_at.get(t)
         if ev is not None:
             first = ev.session_id not in stats
@@ -223,7 +223,7 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
                 if ev.url in cache:
                     stats[ev.session_id].hits += 1
                     hits += 1
-            apply_event(model, cfg, ev)
+            apply_event(model, ev)
             cache.update(predict(model, ev.url, window).window)
         if t > 0 and t % cfg.sweep_period == 0:
             demotion_sweep(model, cfg, t)

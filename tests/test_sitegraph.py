@@ -5,7 +5,6 @@ from nextpage.errors import GraphFormatError, ModLogFormatError, ValidationError
 from nextpage.sitegraph import (
     ModificationLog,
     SiteGraph,
-    derive_dominants,
     parse_graph,
     parse_modlog,
     render_graph,
@@ -37,7 +36,6 @@ class TestParseGraph:
         g = parse_graph("h -> a b a\na ->\nb ->\n@home h\n")
         # deduped, file order
         assert g.dominants == ("a", "b")
-        assert derive_dominants(g) == ("a", "b")
 
     def test_duplicate_links_kept(self):
         g = parse_graph("a -> b b\nb ->\n@dominant a\n")

@@ -11,7 +11,7 @@ from nextpage.config import (
     EngineConfig,
 )
 from nextpage.errors import ConfigError, UnknownPageError
-from nextpage.model import build_model
+from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
 from nextpage.updates import (
     ModificationEvent,
@@ -163,29 +163,29 @@ class TestModificationSweep:
 class TestApplyEvent:
     def test_access_dispatch(self, model):
         rec = model.records["H"]
-        assert apply_event(model, CFG, SessionEvent("s1", "H", 1)) is None
+        assert apply_event(model, SessionEvent("s1", "H", 1)) is None
         assert (rec.level, rec.lc) == (1, 1)
-        apply_event(model, CFG, SessionEvent("s1", "H", 2))
-        apply_event(model, CFG, SessionEvent("s1", "H", 3))
+        apply_event(model, SessionEvent("s1", "H", 2))
+        apply_event(model, SessionEvent("s1", "H", 3))
         assert (rec.level, rec.lc) == (2, 0)
         assert model.tick == 3
 
     def test_modification_dispatch(self, model):
         level = model.records["a"].level
-        assert apply_event(model, CFG, ModificationEvent("a", 4)) is None
+        assert apply_event(model, ModificationEvent("a", 4)) is None
         assert model.records["a"].dm == 4
         assert model.records["a"].level == level
 
     def test_clock_never_runs_backward(self, model):
-        apply_event(model, CFG, SessionEvent("s1", "H", 9))
-        apply_event(model, CFG, SessionEvent("s2", "S", 3))
+        apply_event(model, SessionEvent("s1", "H", 9))
+        apply_event(model, SessionEvent("s2", "S", 3))
         assert model.tick == 9
 
     def test_sweep_runs_demotion_before_modification(self, model, sweep_log):
         # "a" is both idle past the threshold and freshly modified.  Demotion
         # first means: drop 2 -> 1, then promote 1 -> 2 with refreshed state.
         # The opposite order would leave it at level 3.
-        apply_event(model, CFG, ModificationEvent("a", 9))
+        apply_event(model, ModificationEvent("a", 9))
         run_sweeps(model, EVERY_TICK, 9, 10)
         (first, t1, demoted), (second, t2, promoted) = sweep_log
         assert (first, t1, second, t2) == ("demotion_sweep", 10, "modification_sweep", 10)
@@ -195,8 +195,8 @@ class TestApplyEvent:
         assert model.records["a"].ts == 10
 
     def test_sweep_delta_frozen_example(self, model, sweep_log):
-        apply_event(model, CFG, SessionEvent("s1", "c", 8))
-        apply_event(model, CFG, ModificationEvent("H", 9))
+        apply_event(model, SessionEvent("s1", "c", 8))
+        apply_event(model, ModificationEvent("H", 9))
         run_sweeps(model, EVERY_TICK, 9, 10)
         (_, _, demoted), (_, _, promoted) = sweep_log
         assert set(demoted) == {"S", "a", "b"}
@@ -206,7 +206,18 @@ class TestApplyEvent:
 
     def test_unsupported_event(self, model):
         with pytest.raises(TypeError):
-            apply_event(model, CFG, object())
+            apply_event(model, object())
+
+    @pytest.mark.parametrize(
+        "event", [SessionEvent("s1", "nope", 99), ModificationEvent("nope", 99)]
+    )
+    def test_unknown_page_leaves_model_and_clock_untouched(self, model, event):
+        apply_event(model, SessionEvent("s1", "H", 5))
+        before = model_to_csv(model)
+        with pytest.raises(UnknownPageError, match="unknown page nope"):
+            apply_event(model, event)
+        assert model.tick == 5
+        assert model_to_csv(model) == before
 
 
 class TestRunSweeps:
@@ -309,7 +320,7 @@ class TestStreamInvariants:
                 run_sweeps(model, EVERY_TICK, event - 1, event)
                 tick = event
             else:
-                apply_event(model, CFG, event)
+                apply_event(model, event)
                 tick = event.tick
             assert model.tick >= tick
             for rec in model.records.values():
