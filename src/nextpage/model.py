@@ -96,23 +96,25 @@ def resolve_common_pages(
 ) -> dict[str, int]:
     """Reassign each common page to the class with the most links pointing to it.
 
-    Link sources in class 0 are not counted; ties go to the smaller class
-    number.  A common page with no countable in-links keeps its provisional
-    class.  All counts use the provisional map, so the outcome does not depend
-    on the order of `common`.
+    One pass over the edges counts each common page's in-links by source
+    class, every occurrence of a duplicated link included; sources in class 0
+    are not counted and ties go to the smaller class number.  A common page
+    with no countable in-links keeps its provisional class.  All counts use
+    the provisional map, so the outcome does not depend on the order of
+    `common`.
     """
+    counts: dict[str, Counter[int]] = {page: Counter() for page in common}
+    for src in g.pages:
+        src_class = classes[src]
+        if src_class == 0:
+            continue
+        for target in g.links[src]:
+            if target in counts:
+                counts[target][src_class] += 1
     resolved = dict(classes)
-    for page in common:
-        counts: Counter[int] = Counter()
-        for src in g.pages:
-            src_class = classes[src]
-            if src_class == 0:
-                continue
-            for target in g.links[src]:
-                if target == page:
-                    counts[src_class] += 1
-        if counts:
-            resolved[page] = min(counts, key=lambda c: (-counts[c], c))
+    for page, by_class in counts.items():
+        if by_class:
+            resolved[page] = min(by_class, key=lambda c: (-by_class[c], c))
     return resolved
 
 

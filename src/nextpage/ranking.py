@@ -27,8 +27,8 @@ def pagerank(
 
     Dangling-page mass is redistributed uniformly over all pages.  Iteration
     stops once the L1 change between successive score vectors is <= tol.
-    Pages are processed in sorted-URL order internally, so the result is
-    bit-identical under any permutation of g.pages.
+    Pages are indexed in sorted-URL order, so an iteration is O(E) and the
+    result is bit-identical under any permutation of g.pages.
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError("damping must be strictly between 0 and 1")
@@ -39,24 +39,25 @@ def pagerank(
 
     order = sorted(g.pages)
     n = len(order)
-    degree = {u: len(g.links[u]) for u in order}
-    scores = {u: 1.0 / n for u in order}
+    index = {u: i for i, u in enumerate(order)}
+    out = [tuple(map(index.__getitem__, g.links[u])) for u in order]
+    dangling_idx = [i for i, targets in enumerate(out) if not targets]
+    scores = [1.0 / n] * n
 
     residual = float("inf")
     for _ in range(max_iter):
-        dangling = sum(scores[u] for u in order if degree[u] == 0)
+        dangling = sum(scores[i] for i in dangling_idx)
         base = (1.0 - damping) / n + damping * dangling / n
-        fresh = {u: base for u in order}
-        for src in order:
-            if degree[src] == 0:
-                continue
-            share = damping * scores[src] / degree[src]
-            for dst in g.links[src]:
-                fresh[dst] += share
-        residual = sum(abs(fresh[u] - scores[u]) for u in order)
+        fresh = [base] * n
+        for src, targets in enumerate(out):
+            if targets:
+                share = damping * scores[src] / len(targets)
+                for dst in targets:
+                    fresh[dst] += share
+        residual = sum(abs(f - s) for f, s in zip(fresh, scores))
         scores = fresh
         if residual <= tol:
-            return scores
+            return dict(zip(order, scores))
     raise ConvergenceError(
         f"pagerank did not converge after {max_iter} iterations "
         f"(residual {residual:.3e}, tolerance {tol:.3e})"

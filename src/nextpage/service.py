@@ -17,6 +17,8 @@ always leaves the same model behind.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socketserver
 import threading
 
@@ -106,6 +108,17 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         self.service = service
 
 
+def _write_snapshot(path: str, text: str) -> None:
+    """Write beside `path`, then rename over it, so a crash mid-write leaves
+    the previous snapshot whole."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def serve(
     model: Model,
     cfg: EngineConfig,
@@ -113,21 +126,22 @@ def serve(
     port: int = 8750,
     snapshot_path: str | None = None,
 ) -> None:
-    """Run the service until interrupted; flush a final snapshot on the way out.
+    """Run the service until SIGINT or SIGTERM; flush a final snapshot on the way out.
 
     Prints the bound address once ready, so `port=0` (pick a free port)
-    is usable from scripts.
+    is usable from scripts.  Call it from the main thread: it takes SIGTERM.
     """
     service = PredictionService(model, cfg)
     server = PredictionServer((host, port), service)
     bound_host, bound_port = server.server_address[:2]
-    print(f"listening on {bound_host}:{bound_port}", flush=True)
+    previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(f"listening on {bound_host}:{bound_port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         server.server_close()
         if snapshot_path is not None:
-            with open(snapshot_path, "w", encoding="utf-8") as fh:
-                fh.write(service.snapshot_csv())
+            _write_snapshot(snapshot_path, service.snapshot_csv())

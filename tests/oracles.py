@@ -3,7 +3,10 @@
 Everything here is deliberately written with different machinery than the
 package under test: dense numpy matrices instead of adjacency dicts,
 layer-by-layer frontier expansion instead of a FIFO queue, and an order-free
-characterization of common pages instead of incremental marking.
+characterization of common pages instead of incremental marking.  The one
+exception is `dict_pagerank`, the engine's earlier URL-keyed PageRank loop,
+kept as the reference for the exact floating-point results of the index-based
+one.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from nextpage.errors import ConvergenceError
 from nextpage.sitegraph import SiteGraph
 
 
@@ -39,6 +43,41 @@ def dense_pagerank(g: SiteGraph, damping: float = 0.85, iters: int = 5000, tol: 
             break
         x = fresh
     return {u: float(x[index[u]]) for u in pages}
+
+
+def dict_pagerank(
+    g: SiteGraph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 200, residuals=None
+):
+    """URL-keyed power iteration doing the same float operations in the same
+    order as `nextpage.ranking.pagerank`: sources in sorted-URL order, links in
+    file order, dangling mass and residual summed in sorted-URL order.  Each
+    iteration's residual is appended to `residuals` when a list is given."""
+    order = sorted(g.pages)
+    n = len(order)
+    degree = {u: len(g.links[u]) for u in order}
+    scores = {u: 1.0 / n for u in order}
+
+    residual = float("inf")
+    for _ in range(max_iter):
+        dangling = sum(scores[u] for u in order if degree[u] == 0)
+        base = (1.0 - damping) / n + damping * dangling / n
+        fresh = {u: base for u in order}
+        for src in order:
+            if degree[src] == 0:
+                continue
+            share = damping * scores[src] / degree[src]
+            for dst in g.links[src]:
+                fresh[dst] += share
+        residual = sum(abs(fresh[u] - scores[u]) for u in order)
+        if residuals is not None:
+            residuals.append(residual)
+        scores = fresh
+        if residual <= tol:
+            return scores
+    raise ConvergenceError(
+        f"pagerank did not converge after {max_iter} iterations "
+        f"(residual {residual:.3e}, tolerance {tol:.3e})"
+    )
 
 
 def first_touch_classes(g: SiteGraph, dominants=None):

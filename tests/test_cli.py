@@ -249,30 +249,43 @@ class TestServeSubprocess:
         fh.flush()
         return json.loads(fh.readline())
 
-    def test_serve_observe_snapshot_shutdown(self, tmp_path, model_file):
+    def run_two_observes_then(self, sig, tmp_path, model_file):
+        """Serve, observe H then S, stop the server with `sig`; return the
+        final snapshot and the in-process service's dump after the same
+        observes."""
         snap = tmp_path / "snap.csv"
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "nextpage", "serve", "--model", model_file,
              "--port", "0", "--snapshot-out", str(snap)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=_child_env(),
-        )
-        try:
-            ready = proc.stdout.readline().strip()
-            assert ready.startswith("listening on ")
-            host, port = ready.removeprefix("listening on ").rsplit(":", 1)
-            with socket.create_connection((host, int(port)), timeout=10) as conn:
-                fh = conn.makefile("rwb")
-                assert self.observe(fh, "H") == {"ok": True}
-                assert self.observe(fh, "S") == {"ok": True}
-        finally:
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=15) == 0
+        ) as proc:
+            try:
+                ready = proc.stdout.readline().strip()
+                assert ready.startswith("listening on ")
+                host, port = ready.removeprefix("listening on ").rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=10) as conn:
+                    fh = conn.makefile("rwb")
+                    assert self.observe(fh, "H") == {"ok": True}
+                    assert self.observe(fh, "S") == {"ok": True}
+            finally:
+                proc.send_signal(sig)
+                assert proc.wait(timeout=15) == 0
 
         with open(model_file) as fh:
             expected_service = PredictionService(model_from_csv(fh.read()), EngineConfig())
         expected_service.handle({"kind": "observe", "url": "H", "session": "s1"})
         expected_service.handle({"kind": "observe", "url": "S", "session": "s1"})
-        assert snap.read_text() == expected_service.snapshot_csv()
+        return snap.read_text(), expected_service.snapshot_csv()
+
+    def test_serve_observe_snapshot_shutdown(self, tmp_path, model_file):
+        snapshot, expected = self.run_two_observes_then(signal.SIGINT, tmp_path, model_file)
+        assert snapshot == expected
+
+    def test_sigterm_writes_a_loadable_final_snapshot(self, tmp_path, model_file):
+        snapshot, expected = self.run_two_observes_then(signal.SIGTERM, tmp_path, model_file)
+        assert model_to_csv(model_from_csv(snapshot)) == snapshot
+        assert snapshot == expected
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []

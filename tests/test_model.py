@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     MICRO_CLASSES,
@@ -23,6 +24,7 @@ from nextpage.model import (
 )
 from nextpage.ranking import RankAssignment, rank_pages
 from nextpage.sitegraph import ModificationLog, SiteGraph
+from oracles import resolve_by_inlink_majority
 from strategies import site_graphs
 
 
@@ -136,6 +138,41 @@ class TestResolveCommonPages:
         resolved = resolve_common_pages(g, classes, common)
         resolved_flipped = resolve_common_pages(g, classes, list(reversed(common)))
         assert resolved == resolved_flipped
+
+    def test_duplicated_link_outweighs_single_link_from_smaller_class(self):
+        # x is first touched by d1 (class 1) and also linked once from d2
+        # (class 2); class 3 links to it twice through one duplicated link.
+        # Counted once per distinct link, all three would tie and class 1
+        # would win; counted per occurrence, class 3 wins.
+        g = graph(
+            ["d1", "d2", "d3", "x"],
+            {"d1": ["x"], "d2": ["x"], "d3": ["x", "x"], "x": []},
+            ["d1", "d2", "d3"],
+        )
+        classes, common = assign_classes(g)
+        assert classes["x"] == 1
+        assert common == ["x"]
+        assert resolve_common_pages(g, classes, common)["x"] == 3
+
+    @given(site_graphs(min_pages=1, max_pages=8))
+    def test_matches_inlink_majority_oracle(self, g):
+        classes, common = assign_classes(g)
+        assert resolve_common_pages(g, classes, common) == resolve_by_inlink_majority(
+            g, classes, common
+        )
+
+    @given(st.data())
+    def test_matches_oracle_for_any_class_map_and_common_list(self, data):
+        # direct calls: arbitrary provisional classes (0 included) and any
+        # common list, with repeats and pages nothing links to
+        g = data.draw(site_graphs(min_pages=1, max_pages=8))
+        classes = {
+            url: data.draw(st.integers(min_value=0, max_value=3)) for url in g.pages
+        }
+        common = data.draw(st.lists(st.sampled_from(g.pages), max_size=10))
+        assert resolve_common_pages(g, classes, common) == resolve_by_inlink_majority(
+            g, classes, common
+        )
 
 
 class TestAssignLevels:

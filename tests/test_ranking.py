@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import MICRO_ORDINALS, MICRO_SCORES
 from nextpage.errors import ConvergenceError
@@ -12,6 +13,7 @@ from nextpage.ranking import (
     rank_pages,
 )
 from nextpage.sitegraph import SiteGraph
+from oracles import dict_pagerank, random_site_graph
 from strategies import site_graphs
 
 
@@ -78,6 +80,61 @@ class TestPagerank:
         assert DEFAULT_DAMPING == 0.85
         assert DEFAULT_TOL == 1e-10
         assert DEFAULT_MAX_ITER == 200
+
+
+def _outcome(rank, g, **kwargs):
+    """Scores as an ordered item list, or the ConvergenceError message."""
+    try:
+        return list(rank(g, **kwargs).items())
+    except ConvergenceError as e:
+        return str(e)
+
+
+class TestBitIdentity:
+    """The index-based loop must reproduce the URL-keyed loop exactly: the
+    ordinals, and so every model dump and golden file, rest on exact scores."""
+
+    @given(
+        site_graphs(min_pages=1, max_pages=8),
+        st.sampled_from([0.85, 0.5, 0.99, 0.1]),
+        st.sampled_from([1e-10, 1e-14, 1e-3]),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_matches_dict_loop_on_site_graphs(self, g, damping, tol, max_iter):
+        kwargs = dict(damping=damping, tol=tol, max_iter=max_iter)
+        assert _outcome(pagerank, g, **kwargs) == _outcome(dict_pagerank, g, **kwargs)
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_dict_loop_on_random_graphs(self, rng, n, max_out):
+        g = random_site_graph(rng, n, max_out=max_out)
+        assert _outcome(pagerank, g) == _outcome(dict_pagerank, g)
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=10, max_value=80),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_tolerance_equal_to_a_residual_stops_on_the_same_iteration(self, rng, n, k):
+        # the residual decides when to stop, so it must be summed in the
+        # same order to the last bit: with tol set to the reference's k-th
+        # residual, a residual one ulp larger would run another iteration
+        g = random_site_graph(rng, n)
+        residuals = []
+        dict_pagerank(g, residuals=residuals)
+        tol = residuals[min(k, len(residuals)) - 1]
+        assume(tol > 0.0)
+        assert _outcome(pagerank, g, tol=tol) == _outcome(dict_pagerank, g, tol=tol)
+
+    def test_both_raise_on_non_convergence(self, micro_site):
+        with pytest.raises(ConvergenceError) as fast:
+            pagerank(micro_site, max_iter=2)
+        with pytest.raises(ConvergenceError) as reference:
+            dict_pagerank(micro_site, max_iter=2)
+        assert str(fast.value) == str(reference.value)
 
 
 class TestOrdinalRanks:

@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import socket
 import threading
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
-from nextpage.service import PredictionServer, PredictionService
+from nextpage.service import PredictionServer, PredictionService, serve
 from nextpage.simulate import parse_trace, replay
 from nextpage.sitegraph import parse_graph
 
@@ -240,3 +242,61 @@ class TestDeterminism:
             model = build_model(micro_site, rank_pages(micro_site))
             runs.append(run_script_over_socket(model, cfg, SCRIPT))
         assert runs[0] == runs[1]
+
+
+class TestServeShutdown:
+    """`serve` run in this thread, with `serve_forever` replaced by a stub
+    that returns as Ctrl-C would."""
+
+    @pytest.fixture
+    def interrupted(self, monkeypatch):
+        seen = {}
+
+        def stop(server):
+            seen["sigterm_handler"] = signal.getsignal(signal.SIGTERM)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(PredictionServer, "serve_forever", stop)
+        return seen
+
+    def test_final_snapshot_written_without_leftovers(self, tmp_path, model, interrupted):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("old snapshot\n")
+        serve(model, EngineConfig(), port=0, snapshot_path=str(snap))
+        assert snap.read_text() == model_to_csv(model)
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
+
+    def test_failed_snapshot_leaves_existing_file_untouched(
+        self, tmp_path, model, interrupted, monkeypatch
+    ):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("old snapshot\n")
+
+        def broken(self):
+            raise RuntimeError("snapshot failed")
+
+        monkeypatch.setattr(PredictionService, "snapshot_csv", broken)
+        with pytest.raises(RuntimeError):
+            serve(model, EngineConfig(), port=0, snapshot_path=str(snap))
+        assert snap.read_text() == "old snapshot\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
+
+    def test_failed_write_leaves_existing_file_untouched(
+        self, tmp_path, model, interrupted, monkeypatch
+    ):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("old snapshot\n")
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            serve(model, EngineConfig(), port=0, snapshot_path=str(snap))
+        assert snap.read_text() == "old snapshot\n"
+
+    def test_sigterm_handled_only_while_serving(self, model, interrupted):
+        before = signal.getsignal(signal.SIGTERM)
+        serve(model, EngineConfig(), port=0)
+        assert interrupted["sigterm_handler"] is signal.default_int_handler
+        assert signal.getsignal(signal.SIGTERM) is before
