@@ -10,14 +10,16 @@ reserved class 0.
 Levels partition the same pages by popularity: ordinal ranks are split into
 L = ceil(sqrt(p)) contiguous groups, higher ordinals in higher levels.  Class
 numbers stay fixed for the life of the model; levels move with the access
-stream (see updates.py).
+stream (see updates.py).  Demotions of idle pages are settled when a record is
+read, so level, lc and ts are read through `Model.settled`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ModelFormatError, ValidationError
 from .ranking import DEFAULT_DAMPING, RankAssignment, ordinal_ranks, pagerank
@@ -48,17 +50,76 @@ class PageRecord:
     dm_seen: int = 0
 
 
+class Schedule(NamedTuple):
+    """The demotion sweeps run so far: one at each of `first`, `first +
+    period`, ..., `last`, all under the same `threshold`."""
+
+    first: int
+    last: int
+    threshold: int
+    period: int
+
+
 @dataclass
 class Model:
     """The prediction model: URL-indexed records, the level cap and the clock.
 
     Mutated in place by the update engine; each record's class_no and
-    ordinal never change after construction.
+    ordinal never change after construction.  `schedule` holds the demotion
+    sweeps run so far (None before the first); a record may owe demotions to
+    them until it is read through `settled`.  `pending` holds the pages with a
+    modification no modification sweep has examined yet.
     """
 
     records: dict[str, PageRecord]
     levels: int
     tick: int = 0
+    schedule: Schedule | None = None
+    pending: set[str] = field(default_factory=set)
+
+    def __post_init__(self):
+        self.pending.update(url for url, r in self.records.items() if r.dm > r.dm_seen)
+
+    @property
+    def cutoff(self) -> float:
+        """A record above level 1 owes a demotion exactly when its ts is at
+        or below this tick."""
+        s = self.schedule
+        return -math.inf if s is None else s.last - s.threshold
+
+    def settled(self, url: str) -> PageRecord:
+        """The record of `url` with the demotions the sweeps so far owe it applied.
+
+        A sweep demotes a page above level 1 that has been idle for
+        `threshold` ticks one level, resetting lc and stamping ts with the
+        sweep tick.  So an untouched page is demoted at the first sweep tick
+        s1 >= ts + threshold and then every `step` ticks (the threshold
+        rounded up to whole periods) until it reaches level 1.
+        """
+        rec = self.records[url]
+        s = self.schedule
+        if s is not None and rec.level > 1 and rec.ts <= s.last - s.threshold:
+            due = rec.ts + s.threshold
+            s1 = max(s.first, due + (s.last - due) % s.period)
+            step = -(-s.threshold // s.period) * s.period
+            k = min(rec.level - 1, 1 + (s.last - s1) // step)
+            rec.level -= k
+            rec.lc = 0
+            rec.ts = s1 + (k - 1) * step
+        return rec
+
+    def settle_all(self) -> None:
+        """Settle every record that owes demotions."""
+        cutoff = self.cutoff
+        for url, rec in self.records.items():
+            if rec.ts <= cutoff and rec.level > 1:
+                self.settled(url)
+
+    def end_schedule(self) -> None:
+        """Settle every record, then forget the sweeps: the next one starts
+        a new schedule."""
+        self.settle_all()
+        self.schedule = None
 
 
 def assign_classes(g: SiteGraph) -> tuple[dict[str, int], list[str]]:
@@ -180,7 +241,9 @@ def build_model(
 
 
 def model_to_csv(model: Model) -> str:
-    """Dump the store as CSV (key,url,lc,level,class,ts,dm,links), sorted by URL."""
+    """Dump the store as CSV (key,url,lc,level,class,ts,dm,links), sorted by
+    URL, every record settled first."""
+    model.settle_all()
     lines = [MODEL_CSV_HEADER]
     for i, url in enumerate(sorted(model.records), start=1):
         r = model.records[url]

@@ -52,8 +52,9 @@ class Prediction:
 def predict(model: Model, url: str, window: int) -> Prediction:
     """Predict the next requests after `url` and return the top-`window` URLs.
 
-    Candidates are the page's distinct direct out-links.  Class 0 never
-    counts as a match.  Raises UnknownPageError for URLs outside the model;
+    Candidates are the page's distinct direct out-links, each settled (see
+    `Model.settled`) before its level is read.  Class 0 never counts as a
+    match.  Raises UnknownPageError for URLs outside the model;
     the caller should then serve the request without prefetching.
     """
     if window < 0:
@@ -62,9 +63,13 @@ def predict(model: Model, url: str, window: int) -> Prediction:
     if source is None:
         raise UnknownPageError(url)
 
+    records = model.records
+    cutoff = model.cutoff
     candidates = []
     for target in sorted(set(source.links)):
-        rec = model.records[target]
+        rec = records[target]
+        if rec.ts <= cutoff and rec.level > 1:
+            rec = model.settled(target)
         candidates.append(
             Candidate(
                 target,

@@ -7,6 +7,17 @@ pages nobody has touched for `demote_threshold` ticks one level, and the
 modification sweep raises freshly modified pages one level.  Class numbers
 are assigned at build time and never change here.
 
+Demotion is settled on read.  Whether and how often an untouched page has
+been demoted follows from its (level, ts) and the sweeps run so far, so the
+demotion sweep only records that it ran (`Model.schedule`) and
+`Model.settled` applies the demotions a record owes when something reads it:
+an access, the modification sweep, `predict` and the dump.  The modification
+sweep walks only the pages modified since it last ran (`Model.pending`).  A
+sweep that does not continue the schedule (another threshold or period, or a
+tick other than the last sweep's plus one period) settles every page and
+starts a new schedule; so does a write dated before sweeps already run.
+Every call sequence therefore leaves the model a sweep of every page would.
+
 All times are logical ticks (event indices), never wall clock, so any replay
 of the same event stream produces the same model.  `apply_event` records one
 event and only then advances the clock, so an event for an unknown page is
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 
 from .config import EngineConfig
 from .errors import UnknownPageError
-from .model import Model
+from .model import Model, Schedule
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,10 @@ def record_access(model: Model, url: str, now: int) -> bool:
     counter is kept there).  Below the top, the counter runs 0..L-1 and the
     L-th access promotes one level, resetting counter and timestamp.
     """
-    rec = model.records.get(url)
-    if rec is None:
+    if url not in model.records:
         raise UnknownPageError(url)
+    _rewind(model, now)
+    rec = model.settled(url)
     if rec.level >= model.levels:
         rec.ts = now
         return False
@@ -71,36 +83,64 @@ def record_modification(model: Model, url: str, now: int) -> None:
     if rec is None:
         raise UnknownPageError(url)
     rec.dm = now
+    model.pending.add(url)
+
+
+def _rewind(model: Model, now: int) -> None:
+    """Get ready to stamp a record with ts=now.
+
+    If the schedule already holds a sweep at or after now + threshold, the
+    settle rule would charge the stamped record for it, though it ran before
+    the stamp.  That happens only when the clock runs backward (a second
+    replay of the same model, say); then settle every page and end the
+    schedule.
+    """
+    s = model.schedule
+    if s is not None and now + s.threshold <= s.last:
+        model.end_schedule()
 
 
 def demotion_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
-    """Drop every page idle for demote_threshold ticks one level (floor 1)."""
-    demoted = []
-    for rec in model.records.values():
-        if rec.level > 1 and now - rec.ts >= cfg.demote_threshold:
-            rec.level -= 1
-            rec.lc = 0
-            rec.ts = now
-            demoted.append(rec.url)
-    return demoted
+    """Drop every page idle for demote_threshold ticks one level (floor 1).
+
+    Only the schedule advances here; `Model.settled` applies the demotions
+    when a record is read, so the list of moved pages is always empty.
+    """
+    s = model.schedule
+    if (
+        s is not None
+        and (s.threshold, s.period) == (cfg.demote_threshold, cfg.sweep_period)
+        and now == s.last + s.period
+    ):
+        model.schedule = s._replace(last=now)
+    else:
+        model.end_schedule()
+        model.schedule = Schedule(now, now, cfg.demote_threshold, cfg.sweep_period)
+    return []
 
 
 def modification_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     """Raise pages modified within recency_window one level (cap L).
 
     Each page's newest examined dm is remembered, so a single modification is
-    considered by exactly one sweep and can promote at most once.
+    considered by exactly one sweep and can promote at most once.  Only the
+    pending pages are examined, in URL order.
     """
+    if not model.pending:
+        return []
+    _rewind(model, now)
     promoted = []
-    for rec in model.records.values():
+    for url in sorted(model.pending):
+        rec = model.settled(url)
         if rec.dm <= rec.dm_seen:
             continue
         if now - rec.dm <= cfg.recency_window and rec.level < model.levels:
             rec.level += 1
             rec.lc = 0
             rec.ts = now
-            promoted.append(rec.url)
+            promoted.append(url)
         rec.dm_seen = rec.dm
+    model.pending.clear()
     return promoted
 
 

@@ -80,6 +80,15 @@ def classes_of(model) -> dict[int, set[str]]:
     return groups
 
 
+def settled_state(model) -> dict[str, tuple[int, int, int]]:
+    """Every page's (level, lc, ts), read through `Model.settled`."""
+    state = {}
+    for url in model.records:
+        rec = model.settled(url)
+        state[url] = (rec.level, rec.lc, rec.ts)
+    return state
+
+
 @pytest.fixture
 def sweep_log(monkeypatch):
     """Every sweep run from now on, as (sweep name, tick, moved URLs), in

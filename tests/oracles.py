@@ -3,10 +3,12 @@
 Everything here is deliberately written with different machinery than the
 package under test: dense numpy matrices instead of adjacency dicts,
 layer-by-layer frontier expansion instead of a FIFO queue, and an order-free
-characterization of common pages instead of incremental marking.  The one
-exception is `dict_pagerank`, the engine's earlier URL-keyed PageRank loop,
+characterization of common pages instead of incremental marking.  The
+exceptions are `dict_pagerank`, the engine's earlier URL-keyed PageRank loop,
 kept as the reference for the exact floating-point results of the index-based
-one.
+one, and `eager_demotion_sweep` / `eager_modification_sweep`, the engine's
+earlier sweeps over every page, kept as the reference for the demotions the
+engine now settles when a record is read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from itertools import permutations, product
 
 import numpy as np
 
+from nextpage.config import EngineConfig
 from nextpage.errors import ConvergenceError
+from nextpage.model import Model
 from nextpage.sitegraph import SiteGraph
 
 
@@ -154,3 +158,43 @@ def random_site_graph(rng: random.Random, n: int, max_out: int = 4, with_home: b
     dominants = tuple(rng.sample(pages, k))
     home = rng.choice(pages) if with_home and rng.random() < 0.5 else None
     return SiteGraph(pages=pages, links=links, dominants=dominants, home=home)
+
+
+def eager_demotion_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
+    """Drop every page idle for demote_threshold ticks one level (floor 1),
+    walking every record.  Reads the records' fields directly, so it must only
+    run on a model that no lazy sweep has touched."""
+    demoted = []
+    for rec in model.records.values():
+        if rec.level > 1 and now - rec.ts >= cfg.demote_threshold:
+            rec.level -= 1
+            rec.lc = 0
+            rec.ts = now
+            demoted.append(rec.url)
+    return demoted
+
+
+def eager_modification_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
+    """Raise every page modified within recency_window one level (cap L),
+    walking every record; each dm is examined by one sweep only."""
+    promoted = []
+    for rec in model.records.values():
+        if rec.dm <= rec.dm_seen:
+            continue
+        if now - rec.dm <= cfg.recency_window and rec.level < model.levels:
+            rec.level += 1
+            rec.lc = 0
+            rec.ts = now
+            promoted.append(rec.url)
+        rec.dm_seen = rec.dm
+    return promoted
+
+
+def eager_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None:
+    """`run_sweeps` with the eager reference sweeps: both, at every multiple
+    of sweep_period in (after, upto], found by testing each tick."""
+    for now in range(max(after, 0) + 1, upto + 1):
+        if now % cfg.sweep_period == 0:
+            model.tick = max(model.tick, now)
+            eager_demotion_sweep(model, cfg, now)
+            eager_modification_sweep(model, cfg, now)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import classes_of
+from conftest import classes_of, settled_state
 from nextpage.cli import EXIT_OK, main
 from nextpage.config import EngineConfig
 from nextpage.model import (
@@ -185,11 +185,13 @@ def test_criterion_06_decay_reaches_the_floor_and_stays(sweep_log):
                 rec.lc = 0 if rec.level == model.levels else rng.randint(0, model.levels - 1)
         bound = (model.levels - 1) * threshold
         run_sweeps(model, cfg, 0, bound)
-        assert all(r.level == 1 for r in model.records.values())
+        settled = settled_state(model)
+        assert all(level == 1 for level, _, _ in settled.values())
         sweep_log.clear()
         run_sweeps(model, cfg, bound, bound + 2 * threshold)
         assert len(sweep_log) == 2 * 2 * threshold
-        assert all(moved == [] for _, _, moved in sweep_log)
+        # nothing moves across the quiet window
+        assert settled_state(model) == settled
 
     # worst case pinned: a full ladder reaches the floor exactly at the bound
     g = demo_site()
@@ -199,9 +201,9 @@ def test_criterion_06_decay_reaches_the_floor_and_stays(sweep_log):
         rec.lc = 0
     bound = (model.levels - 1) * threshold
     run_sweeps(model, cfg, 0, bound - 1)
-    assert any(r.level > 1 for r in model.records.values())
+    assert any(level > 1 for level, _, _ in settled_state(model).values())
     run_sweeps(model, cfg, bound - 1, bound)
-    assert all(r.level == 1 for r in model.records.values())
+    assert all(level == 1 for level, _, _ in settled_state(model).values())
 
 
 def test_criterion_07_window_three_beats_window_two():

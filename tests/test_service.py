@@ -6,13 +6,19 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import settled_state
 from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
 from nextpage.service import PredictionServer, PredictionService, serve
 from nextpage.simulate import parse_trace, replay
 from nextpage.sitegraph import parse_graph
+from nextpage.updates import SessionEvent, apply_event
+from oracles import eager_sweeps
+from strategies import site_graphs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -78,11 +84,11 @@ class TestObserveRequests:
         for _ in range(2):
             service.handle({"kind": "observe", "url": "H", "session": "s1"})
         # no sweep yet: two observes, period 3
-        assert model.records["c"].level == 3
+        assert model.settled("c").level == 3
         service.handle({"kind": "observe", "url": "H", "session": "s1"})
         # tick 3: H's third access promotes it, then the sweep demotes
         # everything idle since tick 0
-        levels = {u: r.level for u, r in model.records.items()}
+        levels = {u: level for u, (level, _, _) in settled_state(model).items()}
         assert levels == {"H": 2, "M": 1, "S": 1, "a": 1, "b": 2, "c": 2}
         assert model.tick == 3
 
@@ -107,6 +113,50 @@ class TestReplayAgreement:
 
         assert service.snapshot_csv() == model_to_csv(replayed)
         assert model_to_csv(replayed) != model_to_csv(build_model(site, rank_pages(site)))
+
+
+@st.composite
+def observe_streams(draw):
+    """A site, a sweep config and observe/predict requests, each maybe
+    followed by a snapshot."""
+    g = draw(site_graphs(min_pages=1, max_pages=8))
+    cfg = EngineConfig(
+        demote_threshold=draw(st.integers(1, 12)),
+        recency_window=draw(st.integers(1, 6)),
+        sweep_period=draw(st.sampled_from([1, 2, 3, 5, 7])),
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["observe", "predict"]), st.sampled_from(g.pages), st.booleans()),
+            max_size=60,
+        )
+    )
+    return g, cfg, steps
+
+
+class TestSnapshotsChangeNothing:
+    @given(observe_streams())
+    def test_snapshots_leave_the_model_and_replies_alone(self, case):
+        """Snapshots settle records as they format them.  A stream with
+        snapshots taken at random points must answer and end exactly like the
+        same stream without them, and each snapshot must equal the dump of a
+        model kept by the eager reference sweeps."""
+        g, cfg, steps = case
+        with_snapshots = PredictionService(build_model(g, rank_pages(g)), cfg)
+        without = PredictionService(build_model(g, rank_pages(g)), cfg)
+        oracle = build_model(g, rank_pages(g))
+        for kind, url, snapshot in steps:
+            line = json.dumps({"kind": kind, "url": url, "session": "s1", "window": 3})
+            assert with_snapshots.handle_line(line) == without.handle_line(line)
+            if kind == "observe":
+                tick = oracle.tick + 1
+                apply_event(oracle, SessionEvent("s1", url, tick))
+                eager_sweeps(oracle, cfg, tick - 1, tick)
+            if snapshot:
+                reply = json.loads(with_snapshots.handle_line('{"kind": "snapshot"}'))
+                assert reply == {"snapshot": model_to_csv(oracle)}
+        final = json.loads(with_snapshots.handle_line('{"kind": "snapshot"}'))["snapshot"]
+        assert final == without.snapshot_csv() == model_to_csv(oracle)
 
 
 class TestProtocol:

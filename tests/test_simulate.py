@@ -17,13 +17,8 @@ from nextpage.simulate import (
     trace_to_csv,
 )
 from nextpage.sitegraph import ModificationLog, SiteGraph
-from nextpage.updates import (
-    ModificationEvent,
-    SessionEvent,
-    apply_event,
-    demotion_sweep,
-    modification_sweep,
-)
+from nextpage.updates import ModificationEvent, SessionEvent, apply_event
+from oracles import eager_demotion_sweep, eager_modification_sweep
 
 
 def graph(pages, links, dominants, home=None):
@@ -199,7 +194,8 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
     """Tick-by-tick reference replay: walk every integer tick, apply the
     modifications then the request carrying it, and sweep on period
     multiples.  Slower but with no merge or scheduling machinery, and it
-    calls the two sweeps itself rather than through `run_sweeps`."""
+    runs the eager reference sweeps, which walk every page, itself rather
+    than the engine's through `run_sweeps`."""
     mods_at = {}
     if modlog is not None:
         for url, tick in modlog.entries:
@@ -226,8 +222,8 @@ def oracle_replay(model, trace, window, cfg, modlog=None):
             apply_event(model, ev)
             cache.update(predict(model, ev.url, window).window)
         if t > 0 and t % cfg.sweep_period == 0:
-            demotion_sweep(model, cfg, t)
-            modification_sweep(model, cfg, t)
+            eager_demotion_sweep(model, cfg, t)
+            eager_modification_sweep(model, cfg, t)
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 
 

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextpage.config import (
@@ -11,7 +11,8 @@ from nextpage.config import (
     EngineConfig,
 )
 from nextpage.errors import ConfigError, UnknownPageError
-from nextpage.model import build_model, model_to_csv
+from nextpage.model import build_model, model_from_csv, model_to_csv
+from nextpage.predictor import predict
 from nextpage.ranking import rank_pages
 from nextpage.updates import (
     ModificationEvent,
@@ -23,6 +24,8 @@ from nextpage.updates import (
     record_modification,
     run_sweeps,
 )
+from conftest import settled_state
+from oracles import eager_demotion_sweep, eager_modification_sweep, eager_sweeps
 from strategies import site_graphs
 
 
@@ -35,6 +38,26 @@ def model(micro_site):
 CFG = EngineConfig(demote_threshold=10, recency_window=5, sweep_period=4)
 # Same thresholds, sweeping at every tick.
 EVERY_TICK = replace(CFG, sweep_period=1)
+
+
+def settled_levels(model) -> dict[str, int]:
+    return {url: level for url, (level, _, _) in settled_state(model).items()}
+
+
+@pytest.fixture
+def levels_at_modification_sweep(monkeypatch, sweep_log):
+    """Settled levels as each modification sweep starts, that is after the
+    demotion sweep of the same tick has run."""
+    import nextpage.updates as updates
+
+    seen = []
+
+    def spied(model, cfg, now, _sweep=updates.modification_sweep):
+        seen.append(settled_levels(model))
+        return _sweep(model, cfg, now)
+
+    monkeypatch.setattr(updates, "modification_sweep", spied)
+    return seen
 
 
 class TestRecordAccess:
@@ -86,33 +109,39 @@ class TestRecordModification:
 
 class TestDemotionSweep:
     def test_below_threshold_untouched(self, model):
+        before = settled_state(model)
         assert demotion_sweep(model, CFG, now=9) == []
-        assert model.records["c"].level == 3
+        assert model.settled("c").level == 3
+        assert settled_state(model) == before
 
     def test_demotes_exactly_at_threshold(self, model):
         # idle time equal to the threshold already counts as expired
-        demoted = demotion_sweep(model, CFG, now=10)
-        assert set(demoted) == {"S", "a", "b", "c"}
-        assert model.records["c"].level == 2
-        assert model.records["c"].ts == 10
-        assert model.records["c"].lc == 0
+        before = settled_levels(model)
+        assert demotion_sweep(model, CFG, now=10) == []
+        after = settled_levels(model)
+        assert {u for u in before if after[u] < before[u]} == {"S", "a", "b", "c"}
+        assert (model.settled("c").level, model.settled("c").ts, model.settled("c").lc) == (2, 10, 0)
 
     def test_level_one_is_the_floor(self, model):
         for now in (10, 20, 30, 40):
             demotion_sweep(model, CFG, now)
-        assert all(r.level == 1 for r in model.records.values())
+        assert set(settled_levels(model).values()) == {1}
+        before = settled_state(model)
         assert demotion_sweep(model, CFG, now=50) == []
+        assert settled_state(model) == before
 
     def test_recent_access_protects(self, model):
         record_access(model, "c", 8)
-        demoted = demotion_sweep(model, CFG, now=10)
-        assert "c" not in demoted
+        demotion_sweep(model, CFG, now=10)
+        assert (model.settled("c").level, model.settled("c").ts) == (3, 8)
+        # the same sweep does demote the pages left idle since tick 0
+        assert model.settled("b").level == 2
 
     def test_demotion_resets_counter(self, model):
         record_access(model, "S", 1)  # S level 2, lc 1
         model.records["S"].ts = 0
         demotion_sweep(model, CFG, now=10)
-        assert (model.records["S"].level, model.records["S"].lc) == (1, 0)
+        assert (model.settled("S").level, model.settled("S").lc) == (1, 0)
 
 
 class TestModificationSweep:
@@ -181,28 +210,32 @@ class TestApplyEvent:
         apply_event(model, SessionEvent("s2", "S", 3))
         assert model.tick == 9
 
-    def test_sweep_runs_demotion_before_modification(self, model, sweep_log):
+    def test_sweep_runs_demotion_before_modification(
+        self, model, sweep_log, levels_at_modification_sweep
+    ):
         # "a" is both idle past the threshold and freshly modified.  Demotion
         # first means: drop 2 -> 1, then promote 1 -> 2 with refreshed state.
         # The opposite order would leave it at level 3.
         apply_event(model, ModificationEvent("a", 9))
         run_sweeps(model, EVERY_TICK, 9, 10)
-        (first, t1, demoted), (second, t2, promoted) = sweep_log
+        (first, t1, _), (second, t2, promoted) = sweep_log
         assert (first, t1, second, t2) == ("demotion_sweep", 10, "modification_sweep", 10)
-        assert "a" in demoted
+        [levels] = levels_at_modification_sweep
+        assert levels["a"] == 1
         assert "a" in promoted
-        assert model.records["a"].level == 2
-        assert model.records["a"].ts == 10
+        assert model.settled("a").level == 2
+        assert model.settled("a").ts == 10
 
-    def test_sweep_delta_frozen_example(self, model, sweep_log):
+    def test_sweep_delta_frozen_example(self, model, sweep_log, levels_at_modification_sweep):
         apply_event(model, SessionEvent("s1", "c", 8))
         apply_event(model, ModificationEvent("H", 9))
+        before = settled_levels(model)
         run_sweeps(model, EVERY_TICK, 9, 10)
-        (_, _, demoted), (_, _, promoted) = sweep_log
-        assert set(demoted) == {"S", "a", "b"}
+        (_, _, _), (_, _, promoted) = sweep_log
+        [between] = levels_at_modification_sweep
+        assert {u for u in before if between[u] < before[u]} == {"S", "a", "b"}
         assert promoted == ["H"]
-        levels = {u: model.records[u].level for u in model.records}
-        assert levels == {"H": 2, "M": 1, "S": 1, "a": 1, "b": 2, "c": 3}
+        assert settled_levels(model) == {"H": 2, "M": 1, "S": 1, "a": 1, "b": 2, "c": 3}
 
     def test_unsupported_event(self, model):
         with pytest.raises(TypeError):
@@ -270,12 +303,13 @@ class TestDecay:
         (levels - 1) * demote_threshold ticks, then nothing else moves."""
         bound = (model.levels - 1) * CFG.demote_threshold
         run_sweeps(model, EVERY_TICK, 0, bound)
-        assert all(r.level == 1 for r in model.records.values())
+        assert set(settled_levels(model).values()) == {1}
+        before = settled_state(model)
         sweep_log.clear()
         quiet = 2 * CFG.demote_threshold - 1
         run_sweeps(model, EVERY_TICK, bound, bound + quiet)
         assert len(sweep_log) == 2 * quiet
-        assert all(moved == [] for _, _, moved in sweep_log)
+        assert settled_state(model) == before
 
 
 @st.composite
@@ -332,3 +366,113 @@ class TestStreamInvariants:
         assert {
             u: (r.class_no, r.ordinal, r.links) for u, r in model.records.items()
         } == frozen
+
+
+LAZY = (run_sweeps, demotion_sweep, modification_sweep)
+EAGER = (eager_sweeps, eager_demotion_sweep, eager_modification_sweep)
+
+
+def drive(model, events, cfg, engine, previous=0):
+    """Replay-style loop over events on distinct, increasing ticks: the
+    sweeps due before each event, the event, then the sweep due at its tick.
+    A ("sweeps", tick) event calls both sweeps directly, a ("modification
+    sweep", tick) event only the second, off the period schedule.  Returns
+    every access's full candidate order."""
+    sweeps, demote, promote = engine
+    orders = []
+    for ev in events:
+        tick = ev[1] if isinstance(ev, tuple) else ev.tick
+        sweeps(model, cfg, previous, tick - 1)
+        if ev == ("sweeps", tick):
+            demote(model, cfg, tick)
+        if isinstance(ev, tuple):
+            promote(model, cfg, tick)
+        else:
+            apply_event(model, ev)
+        if isinstance(ev, SessionEvent):
+            orders.append(predict(model, ev.url, 0).candidates)
+        sweeps(model, cfg, tick - 1, tick)
+        previous = tick
+    return orders
+
+
+sweep_configs = st.builds(
+    EngineConfig,
+    demote_threshold=st.integers(1, 12),
+    recency_window=st.integers(1, 6),
+    sweep_period=st.sampled_from([1, 2, 3, 5, 7]),
+)
+
+
+@st.composite
+def differential_cases(draw):
+    """A site, two sweep configs, and two event streams: the first with a
+    point to dump and reload at, the second either restarting at tick 1 or
+    running on from the first."""
+    g = draw(site_graphs(min_pages=1, max_pages=8))
+    kinds = st.sampled_from(["access", "access", "access", "modification", "modification", "sweeps",
+                             "modification sweep"])
+
+    def stream(tick):
+        events = []
+        for kind, url, gap in draw(st.lists(st.tuples(kinds, st.sampled_from(g.pages), st.integers(1, 9)),
+                                            max_size=30)):
+            tick += gap
+            if kind == "access":
+                events.append(SessionEvent("s1", url, tick))
+            elif kind == "modification":
+                events.append(ModificationEvent(url, tick))
+            else:
+                events.append((kind, tick))
+        return events, tick
+
+    first, end = stream(0)
+    split = draw(st.integers(0, len(first)))
+    resume = draw(st.sampled_from([0, end]))
+    second, _ = stream(resume)
+    return g, draw(sweep_configs), draw(sweep_configs), first, split, second, resume
+
+
+class TestSettleOnRead:
+    """Settling demotions on read leaves the model the eager sweeps leave."""
+
+    @settings(max_examples=300)
+    @given(differential_cases())
+    def test_lazy_matches_eager(self, case):
+        g, cfg, cfg_again, first, split, second, resume = case
+        lazy = build_model(g, rank_pages(g))
+        eager = build_model(g, rank_pages(g))
+
+        # The first stream, dumped and reloaded at `split`.
+        assert drive(lazy, first[:split], cfg, LAZY) == drive(eager, first[:split], cfg, EAGER)
+        dump = model_to_csv(lazy)
+        assert dump == model_to_csv(eager)
+        lazy = model_from_csv(dump, levels=lazy.levels)
+        eager = model_from_csv(dump, levels=eager.levels)
+        # Like `replay` on a reloaded model, the rest starts its schedule at 0.
+        tail = first[split:]
+        assert drive(lazy, tail, cfg, LAZY) == drive(eager, tail, cfg, EAGER)
+        assert model_to_csv(lazy) == model_to_csv(eager)
+
+        # The same models again, under other thresholds: either a second
+        # replay whose clock restarts at tick 1, or the clock running on.
+        assert drive(lazy, second, cfg_again, LAZY, resume) == drive(eager, second, cfg_again, EAGER, resume)
+        assert model_to_csv(lazy) == model_to_csv(eager)
+
+    @pytest.mark.parametrize("write", ["access", "modification sweep"])
+    def test_write_dated_before_sweeps_already_run(self, micro_site, write):
+        """A second pass restarting its clock stamps pages with ticks the
+        schedule has already swept past; those sweeps must not demote them."""
+        lazy = build_model(micro_site, rank_pages(micro_site))
+        eager = build_model(micro_site, rank_pages(micro_site))
+        for model, (sweeps, _, promote) in ((lazy, LAZY), (eager, EAGER)):
+            sweeps(model, CFG, 0, 12)  # demotes c from 3 to 2 at tick 12
+            if write == "access":
+                record_access(model, "c", 2)
+            else:
+                record_modification(model, "c", 1)
+                assert promote(model, CFG, 2) == ["c"]
+            # sweeps at 4 and 8, both within demote_threshold of tick 2
+            sweeps(model, CFG, 0, 8)
+        assert model_to_csv(lazy) == model_to_csv(eager)
+        assert (lazy.settled("c").level, lazy.settled("c").ts) == (2 if write == "access" else 3, 2)
