@@ -28,7 +28,7 @@ from .sitegraph import ModificationLog, SiteGraph
 MODEL_CSV_HEADER = "key,url,lc,level,class,ts,dm,links"
 
 
-@dataclass
+@dataclass(slots=True)
 class PageRecord:
     """One row of the model store.
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from nextpage.config import EngineConfig
@@ -255,6 +257,31 @@ class TestReplayDifferential:
         assert (report_a.requests, report_a.hits) == (report_b.requests, report_b.hits)
         assert report_a.per_session == report_b.per_session
         assert model_to_csv(model_a) == model_to_csv(model_b)
+
+
+class TestPickledModel:
+    def test_pickled_model_replays_like_the_original(self):
+        """A pickle round trip, taken mid-replay when the model holds a sweep
+        schedule, pending modifications and records owing demotions, loses
+        nothing: both copies finish the trace with the same report and dump."""
+        g = graph(
+            ["h", "a", "b", "c", "d"],
+            {"h": ["a", "b"], "a": ["c", "d"], "b": ["d", "h"], "c": ["a"], "d": []},
+            ["a", "b"],
+            home="h",
+        )
+        trace = generate_trace(g, sessions=3, length=20, affinity=0.7, seed=4)
+        cfg = EngineConfig(demote_threshold=7, recency_window=5, sweep_period=3)
+        half = len(trace) // 2
+        original = fresh_model(g, levels=4)
+        replay(original, trace[:half], window=2, cfg=cfg, modlog=ModificationLog((("c", 2),)))
+        apply_event(original, ModificationEvent("d", trace[half - 1].tick))
+        assert original.schedule is not None and original.pending == {"d"}
+        assert any(r.ts <= original.cutoff and r.level > 1 for r in original.records.values())
+        copy = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
+        reports = [report_to_csv(replay(m, trace[half:], window=2, cfg=cfg)) for m in (original, copy)]
+        assert reports[0] == reports[1]
+        assert model_to_csv(copy) == model_to_csv(original)
 
 
 class TestSweepScheduling:
