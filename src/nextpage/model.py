@@ -115,12 +115,6 @@ class Model:
             if rec.ts <= cutoff and rec.level > 1:
                 self.settled(url)
 
-    def end_schedule(self) -> None:
-        """Settle every record, then forget the sweeps: the next one starts
-        a new schedule."""
-        self.settle_all()
-        self.schedule = None
-
 
 def assign_classes(g: SiteGraph) -> tuple[dict[str, int], list[str]]:
     """First-touch breadth-first class assignment from the dominant pages.

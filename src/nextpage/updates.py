@@ -97,14 +97,17 @@ def _rewind(model: Model, now: int) -> None:
     """
     s = model.schedule
     if s is not None and now + s.threshold <= s.last:
-        model.end_schedule()
+        model.settle_all()
+        model.schedule = None
 
 
 def demotion_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     """Drop every page idle for demote_threshold ticks one level (floor 1).
 
     Only the schedule advances here; `Model.settled` applies the demotions
-    when a record is read, so the list of moved pages is always empty.
+    when a record is read, so the list of moved pages is always empty.  A
+    call that does not continue the schedule settles every page under the
+    old one and starts a new schedule at `now`.
     """
     s = model.schedule
     if (
@@ -114,7 +117,7 @@ def demotion_sweep(model: Model, cfg: EngineConfig, now: int) -> list[str]:
     ):
         model.schedule = s._replace(last=now)
     else:
-        model.end_schedule()
+        model.settle_all()
         model.schedule = Schedule(now, now, cfg.demote_threshold, cfg.sweep_period)
     return []
 

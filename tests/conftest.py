@@ -91,9 +91,10 @@ def settled_state(model) -> dict[str, tuple[int, int, int]]:
 
 @pytest.fixture
 def sweep_log(monkeypatch):
-    """Every sweep run from now on, as (sweep name, tick, moved URLs), in
+    """Every sweep run from now on, as (sweep name, tick, returned URLs), in
     call order.  The sweeps are wrapped where `run_sweeps` looks them up,
-    in the updates module's globals."""
+    in the updates module's globals.  The demotion sweep returns no URLs:
+    records settle when read, so read them through `settled_state`."""
     import nextpage.updates as updates
 
     log = []

@@ -231,7 +231,7 @@ class TestApplyEvent:
         apply_event(model, ModificationEvent("H", 9))
         before = settled_levels(model)
         run_sweeps(model, EVERY_TICK, 9, 10)
-        (_, _, _), (_, _, promoted) = sweep_log
+        _, (_, _, promoted) = sweep_log
         [between] = levels_at_modification_sweep
         assert {u for u in before if between[u] < before[u]} == {"S", "a", "b"}
         assert promoted == ["H"]
