@@ -56,6 +56,8 @@ def _build_from_graph(args, cfg: EngineConfig) -> Model:
 
 
 def _load_model(args, cfg: EngineConfig) -> Model:
+    """Load `--model`.  A v2 dump carries its own ordinals and level cap, so
+    `damping` only matters for a v1 dump and `levels` must match a v2 cap."""
     return model_from_csv(_read(args.model), damping=cfg.damping, levels=cfg.levels)
 
 

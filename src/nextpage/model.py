@@ -23,9 +23,14 @@ from typing import NamedTuple
 
 from .errors import ModelFormatError, ValidationError
 from .ranking import DEFAULT_DAMPING, RankAssignment, ordinal_ranks, pagerank
-from .sitegraph import ModificationLog, SiteGraph
+from .sitegraph import ModificationLog, SiteGraph, _check_url
 
+# A v2 dump opens with the tag line `nextpage-model v2,levels=<L>`, then the
+# v2 header.  v1 dumps (MODEL_CSV_HEADER, no tag line) are still read.
+MODEL_V2_TAG = "nextpage-model v2"
+MODEL_V2_HEADER = "key,url,lc,level,class,ts,dm,ordinal,dm_seen,links"
 MODEL_CSV_HEADER = "key,url,lc,level,class,ts,dm,links"
+_V2_TAG_LINE = f"{MODEL_V2_TAG},levels=<L>"
 
 
 @dataclass(slots=True)
@@ -35,8 +40,7 @@ class PageRecord:
     `lc` counts accesses at the current level (L accesses promote one level),
     `ts` is the last-access tick, `dm` the last-modification tick (0 = never).
     `dm_seen` is sweep bookkeeping: the newest dm value a modification sweep
-    has already examined, so one modification promotes at most once.  It is
-    not part of the dump format.
+    has already examined, so one modification promotes at most once.
     """
 
     url: str
@@ -234,17 +238,88 @@ def build_model(
     return Model(records=records, levels=level_count)
 
 
-def model_to_csv(model: Model) -> str:
-    """Dump the store as CSV (key,url,lc,level,class,ts,dm,links), sorted by
-    URL, every record settled first."""
+class ModelImage(NamedTuple):
+    """A settled copy of what the dump stores: the level cap and one row per
+    page, sorted by URL, as (url, lc, level, class, ts, dm, ordinal, dm_seen,
+    links)."""
+
+    levels: int
+    rows: list[tuple[str, int, int, int, int, int, int, int, tuple[str, ...]]]
+
+
+def model_image(model: Model) -> ModelImage:
+    """Settle every record and copy the fields the dump stores."""
     model.settle_all()
-    lines = [MODEL_CSV_HEADER]
-    for i, url in enumerate(sorted(model.records), start=1):
-        r = model.records[url]
+    records = model.records
+    return ModelImage(
+        model.levels,
+        [
+            (r.url, r.lc, r.level, r.class_no, r.ts, r.dm, r.ordinal, r.dm_seen, r.links)
+            for r in map(records.__getitem__, sorted(records))
+        ],
+    )
+
+
+def model_to_csv(model: Model | ModelImage) -> str:
+    """Dump a model, or an image of one, as a v2 model CSV.
+
+    Line 1 is `nextpage-model v2,levels=<L>`, which stays the same for the
+    model's whole life; line 2 is the column header; then one row per page,
+    sorted by URL, every record settled first.
+    """
+    image = model if isinstance(model, ModelImage) else model_image(model)
+    lines = [f"{MODEL_V2_TAG},levels={image.levels}", MODEL_V2_HEADER]
+    for i, (url, lc, level, cls, ts, dm, ordinal, dm_seen, links) in enumerate(
+        image.rows, start=1
+    ):
         lines.append(
-            f"A{i},{r.url},{r.lc},{r.level},{r.class_no},{r.ts},{r.dm},{';'.join(r.links)}"
+            f"A{i},{url},{lc},{level},{cls},{ts},{dm},{ordinal},{dm_seen},{';'.join(links)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _parse_levels_line(line: str) -> int:
+    """The level cap from a v2 dump's first line."""
+    key, _, value = line.partition(",")[2].partition("=")
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if key != "levels" or cap < 1:
+        raise ModelFormatError(f"expected header {_V2_TAG_LINE!r}", line=1)
+    return cap
+
+
+def _parse_rows(lines: list[str], first_lineno: int, width: int) -> list[tuple]:
+    """Split rows into (lineno, url, integer fields, links) and check what
+    both versions share: field count, integers, URL syntax, duplicate URLs
+    and link targets."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ModelFormatError(f"expected {width} comma-separated fields", lineno)
+        try:
+            numbers = list(map(int, fields[2:-1]))
+        except ValueError:
+            raise ModelFormatError("counter fields must be integers", lineno) from None
+        url, links = fields[1], fields[-1]
+        try:
+            _check_url(url)
+        except ValidationError as e:
+            raise ModelFormatError(str(e), lineno) from None
+        rows.append((lineno, url, numbers, tuple(links.split(";")) if links else ()))
+
+    if not rows:
+        raise ModelFormatError("model dump has no rows")
+    urls = {url for _, url, _, _ in rows}
+    if len(urls) != len(rows):
+        raise ModelFormatError("duplicate URL in model dump")
+    for lineno, _, _, links in rows:
+        for t in links:
+            if t not in urls:
+                raise ModelFormatError(f"unknown page {t} in links", lineno)
+    return rows
 
 
 def model_from_csv(
@@ -252,72 +327,59 @@ def model_from_csv(
     damping: float = DEFAULT_DAMPING,
     levels: int | None = None,
 ) -> Model:
-    """Rebuild a Model from its CSV dump.
+    """Rebuild a Model from its CSV dump, v2 or v1.
 
-    Ordinals are not stored in the dump; they are recomputed by running
-    PageRank over the stored link lists, which reproduces the build-time
-    values exactly because scoring is independent of row order.  The level
-    cap defaults to max(ceil(sqrt(p)), highest stored level) and the clock
-    resumes at the newest stored tick; pass `levels` when the model was built
-    with an explicit override.
+    A v2 dump stores the level cap, each page's ordinal and its dm_seen, so
+    loading it is a parse: `damping` is ignored, PageRank never runs, and a
+    `levels` other than the stored cap is an error.  A v1 dump (header
+    key,url,lc,level,class,ts,dm,links) stores none of them: ordinals are
+    recomputed by PageRank at `damping` over the stored link lists, dm_seen
+    starts at 0, and the cap is `levels`, or max(ceil(sqrt(p)), highest
+    stored level) without it.  Either way the clock resumes at the newest
+    stored tick.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != MODEL_CSV_HEADER:
-        raise ModelFormatError(f"expected header {MODEL_CSV_HEADER!r}", line=1)
-
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ModelFormatError("expected 8 comma-separated fields", lineno)
-        _, url, lc, level, cls, ts, dm, links = fields
-        try:
-            row = (url, int(lc), int(level), int(cls), int(ts), int(dm))
-        except ValueError:
-            raise ModelFormatError("counter fields must be integers", lineno) from None
-        rows.append((lineno, row, tuple(links.split(";")) if links else ()))
-
-    if not rows:
-        raise ModelFormatError("model dump has no rows")
-    urls = [row[0] for _, row, _ in rows]
-    url_set = set(urls)
-    if len(url_set) != len(urls):
-        raise ModelFormatError("duplicate URL in model dump")
-
-    link_map = {row[0]: links for _, row, links in rows}
-    for lineno, row, links in rows:
-        for t in links:
-            if t not in url_set:
-                raise ModelFormatError(f"unknown page {t} in links", lineno)
-
-    p = len(urls)
-    default_cap = math.isqrt(p - 1) + 1
-    max_level = max(row[2] for _, row, _ in rows)
-    cap = levels if levels is not None else max(default_cap, max_level)
-
-    # Same scoring path as the build, on the same link data.
-    try:
+    if lines and lines[0].partition(",")[0] == MODEL_V2_TAG:
+        cap = _parse_levels_line(lines[0])
+        if levels is not None and levels != cap:
+            raise ModelFormatError(f"levels {levels} differs from the stored cap {cap}", line=1)
+        if len(lines) < 2 or lines[1] != MODEL_V2_HEADER:
+            raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=2)
+        rows = _parse_rows(lines[2:], 3, 10)
+    else:
+        if not lines or lines[0] != MODEL_CSV_HEADER:
+            raise ModelFormatError(
+                f"expected header {_V2_TAG_LINE!r} or {MODEL_CSV_HEADER!r}", line=1
+            )
+        rows = _parse_rows(lines[1:], 2, 8)
+        urls = [url for _, url, _, _ in rows]
+        max_level = max(numbers[1] for _, _, numbers, _ in rows)
+        cap = levels if levels is not None else max(math.isqrt(len(urls) - 1) + 1, max_level)
+        # Same scoring path as the build, on the same link data.
         graph_for_rank = SiteGraph(
             pages=tuple(urls),
-            links=link_map,
+            links={url: links for _, url, _, links in rows},
             dominants=(urls[0],),  # dominants are irrelevant to scoring
         )
-    except ValidationError as e:
-        raise ModelFormatError(str(e)) from e
-    ordinals = ordinal_ranks(pagerank(graph_for_rank, damping=damping))
+        ordinals = ordinal_ranks(pagerank(graph_for_rank, damping=damping))
+        for _, url, numbers, _ in rows:
+            numbers += (ordinals[url], 0)
 
+    p = len(rows)
     records: dict[str, PageRecord] = {}
-    tick = 0
-    for lineno, (url, lc, level, cls, ts, dm), links in rows:
+    seen_ordinals: set[int] = set()
+    for lineno, url, (lc, level, cls, ts, dm, ordinal, dm_seen), links in rows:
         if not 1 <= level <= cap:
             raise ModelFormatError(f"level {level} outside [1, {cap}]", lineno)
         if not 0 <= lc <= cap - 1:
             raise ModelFormatError(f"counter {lc} outside [0, {cap - 1}]", lineno)
         if cls < 0 or ts < 0 or dm < 0:
             raise ModelFormatError("negative class/ts/dm", lineno)
-        records[url] = PageRecord(
-            url=url, lc=lc, level=level, class_no=cls, ts=ts, dm=dm,
-            links=links, ordinal=ordinals[url],
-        )
-        tick = max(tick, ts, dm)
+        if not 1 <= ordinal <= p or ordinal in seen_ordinals:
+            raise ModelFormatError(f"ordinals are not a permutation of 1..{p}", lineno)
+        seen_ordinals.add(ordinal)
+        if not 0 <= dm_seen <= dm:
+            raise ModelFormatError(f"dm_seen {dm_seen} outside [0, {dm}]", lineno)
+        records[url] = PageRecord(url, lc, level, cls, ts, dm, links, ordinal, dm_seen)
+    tick = max(max(r.ts, r.dm) for r in records.values())
     return Model(records=records, levels=cap, tick=tick)

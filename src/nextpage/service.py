@@ -7,7 +7,8 @@ One JSON object per line in both directions over a plain TCP socket:
     {"kind": "snapshot"}                            -> {"snapshot": "<model csv>"}
 
 Malformed requests get an {"error": ...} response and the connection stays
-usable.  Replies are sent with TCP_NODELAY, so none waits on the client's
+usable; a request line longer than MAX_LINE_BYTES gets one and its connection
+is closed.  Replies are sent with TCP_NODELAY, so none waits on the client's
 delayed ACK.  Observes are serialized through one lock; each advances the
 model's logical clock one tick, then runs the sweeps due at that tick on the
 schedule replay uses (`updates.run_sweeps`), so a given request sequence
@@ -24,7 +25,7 @@ import threading
 
 from .config import EngineConfig
 from .errors import EngineError
-from .model import Model, model_to_csv
+from .model import Model, model_image, model_to_csv
 from .predictor import predict
 from .updates import SessionEvent, apply_event, run_sweeps
 
@@ -82,21 +83,34 @@ class PredictionService:
         return {"ok": True}
 
     def snapshot_csv(self) -> str:
+        """Settle the model and copy its rows under the lock; format the copy
+        outside it, so predicts and observes wait only for the copy."""
         with self._lock:
-            return model_to_csv(self.model)
+            image = model_image(self.model)
+        return model_to_csv(image)
+
+
+# The longest request line read, newline included.  A longer line gets an
+# error reply and its connection is closed.
+MAX_LINE_BYTES = 65536
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                error = f"request line longer than {MAX_LINE_BYTES} bytes"
+                self._reply(json.dumps({"error": error}))
+                return
             line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = self.server.service.handle_line(line)
-            self.wfile.write(response.encode("utf-8") + b"\n")
-            self.wfile.flush()
+            if line:
+                self._reply(self.server.service.handle_line(line))
+
+    def _reply(self, response: str) -> None:
+        self.wfile.write(response.encode("utf-8") + b"\n")
+        self.wfile.flush()
 
 
 class PredictionServer(socketserver.ThreadingTCPServer):

@@ -28,7 +28,8 @@ _RESERVED_CHARS = set(",;#")
 def _check_url(url: str) -> None:
     if not url or url.startswith("@") or url == "->":
         raise ValidationError(f"illegal URL {url!r}")
-    if any(c in _RESERVED_CHARS for c in url) or any(c.isspace() for c in url):
+    # split() cuts at exactly the characters isspace() accepts
+    if not _RESERVED_CHARS.isdisjoint(url) or url.split() != [url]:
         raise ValidationError(f"illegal character in URL {url!r}")
 
 

@@ -78,11 +78,17 @@ def record_access(model: Model, url: str, now: int) -> bool:
 
 
 def record_modification(model: Model, url: str, now: int) -> None:
-    """Note a content change; level movement happens at the next sweep."""
+    """Note a content change; level movement happens at the next sweep.
+
+    A change dated at or before the newest one a sweep has examined (the
+    clock ran backward: a second replay of the same model, say) counts as
+    examined too, so dm_seen never exceeds dm and the dump stays loadable.
+    """
     rec = model.records.get(url)
     if rec is None:
         raise UnknownPageError(url)
     rec.dm = now
+    rec.dm_seen = min(rec.dm_seen, now)
     model.pending.add(url)
 
 

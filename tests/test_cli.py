@@ -50,7 +50,9 @@ class TestBuild:
     def test_out_file(self, tmp_path, graph_file):
         out = tmp_path / "m.csv"
         assert main(["build", "--graph", graph_file, "--out", str(out)]) == EXIT_OK
-        assert out.read_text().startswith("key,url,")
+        assert out.read_text().startswith(
+            "nextpage-model v2,levels=3\nkey,url,lc,level,class,ts,dm,ordinal,dm_seen,links\n"
+        )
 
     def test_modlog_applied(self, tmp_path, graph_file, capsys):
         log = tmp_path / "mods.txt"
@@ -65,11 +67,9 @@ class TestBuild:
 
     def test_levels_override(self, graph_file, capsys):
         assert main(["build", "--graph", graph_file, "--levels", "2"]) == EXIT_OK
-        levels = {
-            line.split(",")[3]
-            for line in capsys.readouterr().out.splitlines()[1:]
-        }
-        assert levels == {"1", "2"}
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "nextpage-model v2,levels=2"
+        assert {line.split(",")[3] for line in lines[2:]} == {"1", "2"}
 
 
 class TestRank:

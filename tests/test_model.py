@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from conftest import (
 from nextpage.errors import ModelFormatError, ValidationError
 from nextpage.model import (
     MODEL_CSV_HEADER,
+    MODEL_V2_HEADER,
     assign_classes,
     assign_levels,
     build_model,
@@ -283,12 +285,26 @@ A5,b,0,3,1,0,0,
 A6,c,0,3,1,0,7,
 """
 
+MICRO_CSV_V2 = """\
+nextpage-model v2,levels=3
+key,url,lc,level,class,ts,dm,ordinal,dm_seen,links
+A1,H,0,1,0,0,0,1,0,S;M
+A2,M,0,1,2,0,0,2,0,c
+A3,S,0,2,1,0,0,3,0,a;b
+A4,a,0,2,1,0,0,4,0,c
+A5,b,0,3,1,0,0,5,0,
+A6,c,0,3,1,0,7,6,0,
+"""
+
+V2 = "nextpage-model v2,levels=3\n" + MODEL_V2_HEADER + "\n"
+ROW = "A1,a,0,1,1,0,0,1,0,\n"
+
 
 class TestModelCsv:
     def test_dump_matches_golden(self, micro_site):
         log = ModificationLog(entries=(("c", 7),))
         model = build_model(micro_site, rank_pages(micro_site), dm_log=log)
-        assert model_to_csv(model) == MICRO_CSV
+        assert model_to_csv(model) == MICRO_CSV_V2
 
     def test_round_trip(self, micro_site):
         log = ModificationLog(entries=(("c", 7),))
@@ -318,13 +334,12 @@ class TestModelCsv:
         assert reloaded.records["c"].level == 1
         assert reloaded.records["c"].ts == 42
 
-    def test_sweep_bookkeeping_not_persisted(self, micro_site):
-        model = build_model(micro_site, rank_pages(micro_site))
-        model.records["c"].dm = 5
-        model.records["c"].dm_seen = 5
-        reloaded = model_from_csv(model_to_csv(model))
-        assert reloaded.records["c"].dm == 5
+    def test_sweep_bookkeeping_not_persisted(self):
+        # a v1 dump has no dm_seen column: every modification is pending again
+        reloaded = model_from_csv(MICRO_CSV)
+        assert reloaded.records["c"].dm == 7
         assert reloaded.records["c"].dm_seen == 0
+        assert reloaded.pending == {"c"}
 
     def test_explicit_level_cap_honoured(self):
         text = MODEL_CSV_HEADER + "\nA1,a,0,1,1,0,0,\n"
@@ -348,6 +363,34 @@ class TestModelCsv:
             (MODEL_CSV_HEADER + "\nA1,a,0,1,-1,0,0,\n", "negative"),
             (MODEL_CSV_HEADER + "\nA1,a b,0,1,1,0,0,\n", "illegal character"),
             (MODEL_CSV_HEADER + "\nA1,@a,0,1,1,0,0,\n", "illegal URL"),
+            # v2 counterparts of the cases above
+            ("nextpage-model v2,levels=3\nkey,url\n" + ROW, "line 2: expected header"),
+            (V2 + "A1,a,0,1,1,0,0,1,0\n", "10 comma-separated"),
+            (V2 + "A1,a,x,1,1,0,0,1,0,\n", "must be integers"),
+            (V2 + "A1,a,0,1,1,0,0,x,0,\n", "must be integers"),
+            (V2 + "A1,a,0,1,1,0,0,1,x,\n", "must be integers"),
+            (V2, "no rows"),
+            (V2 + ROW + "A2,a,0,1,1,0,0,2,0,\n", "duplicate URL"),
+            (V2 + "A1,a,0,1,1,0,0,1,0,zz\n", "unknown page zz"),
+            (V2 + "A1,a,0,4,1,0,0,1,0,\n", "level 4 outside [1, 3]"),
+            (V2 + "A1,a,3,1,1,0,0,1,0,\n", "counter 3 outside [0, 2]"),
+            (V2 + "A1,a,0,1,-1,0,0,1,0,\n", "negative"),
+            (V2 + "A1,a,0,1,1,-1,0,1,0,\n", "negative"),
+            (V2 + "A1,a b,0,1,1,0,0,1,0,\n", "illegal character"),
+            (V2 + "A1,@a,0,1,1,0,0,1,0,\n", "illegal URL"),
+            # the tag line
+            (f"nextpage-model v2\n{MODEL_V2_HEADER}\n{ROW}", "line 1: expected header"),
+            (f"nextpage-model v2,levels=0\n{MODEL_V2_HEADER}\n{ROW}", "line 1: expected header"),
+            (f"nextpage-model v2,levels=x\n{MODEL_V2_HEADER}\n{ROW}", "line 1: expected header"),
+            (f"nextpage-model v2,tick=3\n{MODEL_V2_HEADER}\n{ROW}", "line 1: expected header"),
+            (f"nextpage-model v3,levels=3\n{MODEL_V2_HEADER}\n{ROW}", "line 1: expected header"),
+            # ordinals must be a permutation of 1..p
+            (V2 + "A1,a,0,1,1,0,0,0,0,\n", "line 3: ordinals are not a permutation of 1..1"),
+            (V2 + ROW + "A2,b,0,1,1,0,0,3,0,\n", "line 4: ordinals are not a permutation"),
+            (V2 + "A1,a,0,1,1,0,0,2,0,\nA2,b,0,1,1,0,0,2,0,\n", "line 4: ordinals are not a permutation"),
+            # 0 <= dm_seen <= dm
+            (V2 + "A1,a,0,1,1,0,4,1,5,\n", "line 3: dm_seen 5 outside [0, 4]"),
+            (V2 + "A1,a,0,1,1,0,4,1,-1,\n", "line 3: dm_seen -1 outside [0, 4]"),
         ],
     )
     def test_format_errors(self, text, fragment):
@@ -359,3 +402,54 @@ class TestModelCsv:
         text = MODEL_CSV_HEADER + "\nA1,a,0,2,1,0,0,\n"
         with pytest.raises(ModelFormatError, match="level 2 outside"):
             model_from_csv(text, levels=1)
+
+
+class TestModelCsvV2:
+    def test_reload_is_a_parse(self, monkeypatch):
+        def no_pagerank(*args, **kwargs):
+            raise AssertionError("a v2 load must not run PageRank")
+
+        monkeypatch.setattr("nextpage.model.pagerank", no_pagerank)
+        reloaded = model_from_csv(MICRO_CSV_V2)
+        assert model_to_csv(reloaded) == MICRO_CSV_V2
+        assert {u: r.ordinal for u, r in reloaded.records.items()} == MICRO_ORDINALS
+
+    def test_v1_and_v2_dumps_load_the_same_model(self):
+        assert model_from_csv(MICRO_CSV).records == model_from_csv(MICRO_CSV_V2).records
+
+    def test_golden_projected_to_v1_reloads_to_itself(self):
+        """Dropping the tag line and the ordinal and dm_seen columns gives a
+        v1 dump; with the default damping and cap it reloads the same model."""
+        golden = (Path(__file__).parent / "golden" / "demo_model_post_replay.csv").read_text()
+        v1 = [MODEL_CSV_HEADER]
+        for line in golden.splitlines()[2:]:
+            fields = line.split(",")
+            v1.append(",".join(fields[:7] + fields[9:]))
+        assert model_to_csv(model_from_csv("\n".join(v1) + "\n")) == golden
+
+    def test_damping_is_ignored(self):
+        assert model_from_csv(MICRO_CSV_V2, damping=0.5).records == (
+            model_from_csv(MICRO_CSV_V2).records
+        )
+
+    def test_stored_cap_wins_over_default(self):
+        text = f"nextpage-model v2,levels=7\n{MODEL_V2_HEADER}\nA1,a,6,1,1,0,0,1,0,\n"
+        assert model_from_csv(text).levels == 7
+        assert model_from_csv(text, levels=7).levels == 7
+
+    def test_other_levels_rejected(self):
+        with pytest.raises(ModelFormatError, match="line 1: levels 4 differs from the stored cap"):
+            model_from_csv(MICRO_CSV_V2, levels=4)
+
+    def test_sweep_bookkeeping_persisted(self, micro_site):
+        model = build_model(micro_site, rank_pages(micro_site))
+        model.records["c"].dm = 5
+        model.records["c"].dm_seen = 5
+        model.records["a"].dm = 6
+        reloaded = model_from_csv(model_to_csv(model))
+        assert (reloaded.records["c"].dm, reloaded.records["c"].dm_seen) == (5, 5)
+        assert reloaded.pending == {"a"}
+
+    def test_clock_resumes_at_newest_tick(self):
+        text = V2 + "A1,a,0,1,1,4,0,1,0,b\nA2,b,1,1,1,0,9,2,3,\n"
+        assert model_from_csv(text).tick == 9

@@ -284,6 +284,38 @@ class TestSocketTransport:
             thread.join(timeout=10)
 
 
+class TestLineCap:
+    def test_over_long_line_gets_an_error_and_closes(self, service, monkeypatch):
+        monkeypatch.setattr("nextpage.service.MAX_LINE_BYTES", 32)
+        snapshot = b'{"kind": "snapshot"}'
+        server = PredictionServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as conn:
+                fh = conn.makefile("rwb")
+                # 32 bytes with the newline: the longest line read
+                fh.write(snapshot.ljust(31) + b"\n")
+                fh.flush()
+                assert "snapshot" in json.loads(fh.readline())
+                fh.write(snapshot.ljust(32) + b"\n" + snapshot + b"\n")
+                fh.flush()
+                assert json.loads(fh.readline()) == {
+                    "error": "request line longer than 32 bytes"
+                }
+                assert fh.readline() == b""
+            # the server keeps serving other connections
+            with socket.create_connection(server.server_address[:2], timeout=10) as conn:
+                fh = conn.makefile("rwb")
+                fh.write(snapshot + b"\n")
+                fh.flush()
+                assert "snapshot" in json.loads(fh.readline())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+
 class TestDeterminism:
     def test_same_script_same_transcript(self, micro_site):
         cfg = EngineConfig(sweep_period=2, demote_threshold=3)

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nextpage.errors import GraphFormatError, ModLogFormatError, ValidationError
 from nextpage.sitegraph import (
     ModificationLog,
     SiteGraph,
+    _check_url,
     parse_graph,
     parse_modlog,
     render_graph,
@@ -114,6 +116,24 @@ class TestSiteGraphValidation:
     def test_bad_urls(self, bad):
         with pytest.raises(ValidationError):
             SiteGraph(pages=(bad,), links={bad: ()}, dominants=(bad,))
+
+    @given(st.text(alphabet=st.sampled_from("ab@->,;#\t \u00a0\u2028\u3000\x1c"), max_size=5))
+    def test_url_rule_is_per_character(self, url):
+        """A URL is illegal when empty, '->' or starting with '@', and has an
+        illegal character when any of its characters is ',', ';', '#' or
+        whitespace by str.isspace."""
+        if not url or url.startswith("@") or url == "->":
+            expected = "illegal URL"
+        elif any(c in ",;#" or c.isspace() for c in url):
+            expected = "illegal character in URL"
+        else:
+            expected = None
+        try:
+            _check_url(url)
+            message = None
+        except ValidationError as e:
+            message = str(e)
+        assert (message and message[: message.index("URL") + 3]) == expected
 
 
 class TestRenderRoundTrip:

@@ -181,6 +181,14 @@ class TestModificationSweep:
         assert model.records["H"].level == 2
         assert model.records["H"].dm_seen == 7
 
+    def test_modification_dated_before_an_examined_one_counts_as_examined(self, model):
+        record_modification(model, "H", 7)
+        assert modification_sweep(model, CFG, now=8) == ["H"]
+        record_modification(model, "H", 5)  # the clock ran backward
+        assert modification_sweep(model, CFG, now=9) == []
+        assert (model.records["H"].dm, model.records["H"].dm_seen) == (5, 5)
+        assert model_from_csv(model_to_csv(model)).records["H"].dm_seen == 5
+
     def test_later_modification_can_promote_again(self, model):
         record_modification(model, "H", 7)
         modification_sweep(model, CFG, now=8)
