@@ -211,7 +211,11 @@ def build_model(
     dm_log: ModificationLog | None = None,
     levels: int | None = None,
 ) -> Model:
-    """Assemble the initial model; deterministic for identical inputs."""
+    """Assemble the initial model; deterministic for identical inputs.
+
+    The clock starts at the newest modification tick, where `model_from_csv`
+    resumes it on a reload of the dump.
+    """
     if set(ranks.ordinals) != set(g.pages):
         raise ValidationError("rank assignment does not cover the graph's pages")
     latest_dm = dm_log.latest() if dm_log is not None else {}
@@ -235,7 +239,7 @@ def build_model(
             links=g.links[url],
             ordinal=ranks.ordinals[url],
         )
-    return Model(records=records, levels=level_count)
+    return Model(records=records, levels=level_count, tick=max(latest_dm.values(), default=0))
 
 
 class ModelImage(NamedTuple):

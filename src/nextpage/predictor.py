@@ -5,12 +5,15 @@ the precedence: a higher level always wins; within a level, the higher
 ordinal rank wins.  Links in the same class as the requested page are
 preferred over everything else, so the full candidate order is: class match,
 then priority, then URL as the final determinizer.
+
+`predict` ranks plain key tuples, (class match, level, ordinal, url, class);
+a `Candidate` is built from its key only when `Prediction.candidates` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import UnknownPageError, ValidationError
@@ -40,13 +43,46 @@ def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
+# The first three fields of a ranked key are the precedence.
+_PRECEDENCE = itemgetter(0, 1, 2)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Prediction:
-    """Ordered candidates for one request; `window` is a prefix of their URLs."""
+    """Ordered candidates for one request; `window` is a prefix of their URLs.
+
+    Equality, hash and repr are those of the record (source, candidates,
+    window).
+    """
 
     source: str
-    candidates: tuple[Candidate, ...]
     window: tuple[str, ...]
+    _ranked: list[tuple[bool, int, int, str, int]]
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """Every distinct out-link, best first, built from the ranked keys on
+        each read."""
+        return tuple(
+            Candidate(url, LevelRank(level, ordinal), class_no, match)
+            for match, level, ordinal, url, class_no in self._ranked
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # A key holds exactly the fields of its Candidate, so equal keys
+        # mean equal candidates.
+        return (self.source, self._ranked, self.window) == (other.source, other._ranked, other.window)
+
+    def __hash__(self):
+        return hash((self.source, self.candidates, self.window))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(source={self.source!r}, "
+            f"candidates={self.candidates!r}, window={self.window!r})"
+        )
 
 
 def predict(model: Model, url: str, window: int) -> Prediction:
@@ -65,24 +101,15 @@ def predict(model: Model, url: str, window: int) -> Prediction:
 
     records = model.records
     cutoff = model.cutoff
-    candidates = []
+    source_class = source.class_no
+    ranked = []
     for target in sorted(set(source.links)):
         rec = records[target]
         if rec.ts <= cutoff and rec.level > 1:
             rec = model.settled(target)
-        candidates.append(
-            Candidate(
-                target,
-                LevelRank(rec.level, rec.ordinal),
-                rec.class_no,
-                rec.class_no == source.class_no and rec.class_no != 0,
-            )
-        )
+        class_no = rec.class_no
+        match = class_no == source_class and class_no != 0
+        ranked.append((match, rec.level, rec.ordinal, target, class_no))
     # The sort is stable under reverse=True, so URL order breaks full ties.
-    candidates.sort(key=attrgetter("class_match", "priority"), reverse=True)
-    ordered = tuple(candidates)
-    return Prediction(
-        source=url,
-        candidates=ordered,
-        window=tuple(c.url for c in ordered[:window]),
-    )
+    ranked.sort(key=_PRECEDENCE, reverse=True)
+    return Prediction(url, tuple([key[3] for key in ranked[:window]]), ranked)

@@ -8,11 +8,12 @@ One JSON object per line in both directions over a plain TCP socket:
 
 Malformed requests get an {"error": ...} response and the connection stays
 usable; a request line longer than MAX_LINE_BYTES gets one and its connection
-is closed.  Replies are sent with TCP_NODELAY, so none waits on the client's
-delayed ACK.  Observes are serialized through one lock; each advances the
-model's logical clock one tick, then runs the sweeps due at that tick on the
-schedule replay uses (`updates.run_sweeps`), so a given request sequence
-always leaves the same model behind.
+is closed, and so does a connection beyond the MAX_CONNECTIONS being served.
+Replies are sent with TCP_NODELAY, so none waits on the client's delayed ACK.
+Observes are serialized through one lock; each advances the model's logical
+clock one tick, then runs the sweeps due at that tick on the schedule replay
+uses (`updates.run_sweeps`), so a given request sequence always leaves the
+same model behind.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class PredictionService:
 # error reply and its connection is closed.
 MAX_LINE_BYTES = 65536
 
+# The most connections served at once, each on its own thread.  One more gets
+# an error reply and is closed.
+MAX_CONNECTIONS = 64
+
 
 class _LineHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
@@ -120,6 +125,29 @@ class PredictionServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, service: PredictionService):
         super().__init__(address, _LineHandler)
         self.service = service
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            error = f"too many connections (limit {MAX_CONNECTIONS})"
+            try:
+                request.sendall(json.dumps({"error": error}).encode("utf-8") + b"\n")
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            # No thread started, so none will give the slot back.
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 def _write_snapshot(path: str, text: str) -> None:

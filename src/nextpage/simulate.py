@@ -105,10 +105,12 @@ def replay(
             if isinstance(event, ModificationEvent):
                 apply_event(model, event)
                 continue
-            first = event.session_id not in stats
-            session = stats.setdefault(event.session_id, SessionStats())
-            cache = caches.setdefault(event.session_id, set())
-            if not first:
+            session = stats.get(event.session_id)
+            if session is None:
+                stats[event.session_id] = SessionStats()
+                cache = caches[event.session_id] = set()
+            else:
+                cache = caches[event.session_id]
                 session.requests += 1
                 requests += 1
                 if event.url in cache:

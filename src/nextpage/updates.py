@@ -60,10 +60,12 @@ def record_access(model: Model, url: str, now: int) -> bool:
     counter is kept there).  Below the top, the counter runs 0..L-1 and the
     L-th access promotes one level, resetting counter and timestamp.
     """
-    if url not in model.records:
+    rec = model.records.get(url)
+    if rec is None:
         raise UnknownPageError(url)
     _rewind(model, now)
-    rec = model.settled(url)
+    if rec.ts <= model.cutoff and rec.level > 1:
+        model.settled(url)
     if rec.level >= model.levels:
         rec.ts = now
         return False

@@ -6,22 +6,27 @@ layer-by-layer frontier expansion instead of a FIFO queue, and an order-free
 characterization of common pages instead of incremental marking.  The
 exceptions are `dict_pagerank`, the engine's earlier URL-keyed PageRank loop,
 kept as the reference for the exact floating-point results of the index-based
-one, and `eager_demotion_sweep` / `eager_modification_sweep`, the engine's
+one; `eager_demotion_sweep` / `eager_modification_sweep`, the engine's
 earlier sweeps over every page, kept as the reference for the demotions the
-engine now settles when a record is read.
+engine now settles when a record is read; and `reference_predict`, the
+engine's earlier predict that built every `Candidate` and sorted those, kept
+as the reference for the one that ranks plain key tuples.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from itertools import permutations, product
+from operator import attrgetter
 
 import numpy as np
 
 from nextpage.config import EngineConfig
-from nextpage.errors import ConvergenceError
+from nextpage.errors import ConvergenceError, UnknownPageError, ValidationError
 from nextpage.model import Model
+from nextpage.predictor import Candidate, LevelRank
 from nextpage.sitegraph import SiteGraph
 
 
@@ -198,3 +203,46 @@ def eager_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None
             model.tick = max(model.tick, now)
             eager_demotion_sweep(model, cfg, now)
             eager_modification_sweep(model, cfg, now)
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """The engine's earlier prediction record: every candidate stored."""
+
+    source: str
+    candidates: tuple[Candidate, ...]
+    window: tuple[str, ...]
+
+
+def reference_predict(model: Model, url: str, window: int) -> Prediction:
+    """Build a `Candidate` for every distinct out-link, each settled first,
+    sort them by (class_match, priority) descending, stably, and take the
+    first `window` URLs."""
+    if window < 0:
+        raise ValidationError("window must be non-negative")
+    source = model.records.get(url)
+    if source is None:
+        raise UnknownPageError(url)
+
+    records = model.records
+    cutoff = model.cutoff
+    candidates = []
+    for target in sorted(set(source.links)):
+        rec = records[target]
+        if rec.ts <= cutoff and rec.level > 1:
+            rec = model.settled(target)
+        candidates.append(
+            Candidate(
+                target,
+                LevelRank(rec.level, rec.ordinal),
+                rec.class_no,
+                rec.class_no == source.class_no and rec.class_no != 0,
+            )
+        )
+    candidates.sort(key=attrgetter("class_match", "priority"), reverse=True)
+    ordered = tuple(candidates)
+    return Prediction(
+        source=url,
+        candidates=ordered,
+        window=tuple(c.url for c in ordered[:window]),
+    )

@@ -1,16 +1,28 @@
+import json
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from functools import cmp_to_key
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import settled_state
+from nextpage.config import EngineConfig
 from nextpage.errors import UnknownPageError, ValidationError
 from nextpage.model import build_model
-from nextpage.predictor import LevelRank, compare_level_rank, predict
+from nextpage.predictor import Candidate, LevelRank, compare_level_rank, predict
 from nextpage.ranking import rank_pages
-from nextpage.sitegraph import SiteGraph
+from nextpage.service import PredictionService
+from nextpage.simulate import parse_trace, replay
+from nextpage.sitegraph import SiteGraph, parse_graph
+from nextpage.updates import ModificationEvent, SessionEvent, apply_event, run_sweeps
+from oracles import reference_predict
 from strategies import site_graphs
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestCompareLevelRank:
@@ -192,3 +204,131 @@ class TestPredict:
             )
             assert list(pred.candidates) == expected
             assert pred.window == tuple(c.url for c in pred.candidates[:w])
+
+
+class TestPredictionRecord:
+    def test_attributes_are_read_only(self, micro_site):
+        pred = predict(build_model(micro_site, rank_pages(micro_site)), "H", window=1)
+        for name in ("source", "window", "candidates"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pred, name, ())
+
+    def test_equality_hash_and_repr_of_the_full_record(self, micro_site):
+        model = build_model(micro_site, rank_pages(micro_site))
+        pred = predict(model, "H", window=1)
+        ref = reference_predict(model, "H", window=1)
+        assert repr(pred) == repr(ref)
+        assert hash(pred) == hash(ref) == hash((pred.source, pred.candidates, pred.window))
+        assert pred == predict(model, "H", window=1)
+        assert pred != predict(model, "H", window=2)
+        assert pred != (pred.source, pred.candidates, pred.window)
+
+
+@st.composite
+def predicted_streams(draw):
+    """A site, a sweep config, hand-set classes and ordinals (class 0 and
+    duplicate ordinals included), and a stream of accesses and
+    modifications at ticks 1..n, each with the window to predict with."""
+    g = draw(site_graphs(min_pages=1, max_pages=8))
+    cfg = EngineConfig(
+        demote_threshold=draw(st.integers(1, 12)),
+        recency_window=draw(st.integers(1, 6)),
+        sweep_period=draw(st.sampled_from([1, 2, 3, 5, 7])),
+    )
+    levels = draw(st.none() | st.integers(1, 4))
+    n = len(g.pages)
+    classes = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ordinals = draw(st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["access", "modify"]),
+                st.sampled_from(g.pages),
+                st.integers(0, 5),
+            ),
+            max_size=60,
+        )
+    )
+    return g, cfg, levels, classes, ordinals, steps
+
+
+class TestReferencePredict:
+    @given(predicted_streams())
+    def test_agrees_with_the_candidate_building_predict(self, case):
+        """After every event, `predict` on one model and the reference on
+        a twin give the same window, candidates, repr and hash, and the
+        same verdict on equality with the previous prediction."""
+        g, cfg, levels, classes, ordinals, steps = case
+        engine, twin = (build_model(g, rank_pages(g), levels=levels) for _ in range(2))
+        for model in (engine, twin):
+            for i, url in enumerate(g.pages):
+                if classes is not None:
+                    model.records[url].class_no = classes[i]
+                if ordinals is not None:
+                    model.records[url].ordinal = ordinals[i]
+        previous = None
+        for tick, (kind, url, window) in enumerate(steps, start=1):
+            event = (
+                SessionEvent("s1", url, tick)
+                if kind == "access"
+                else ModificationEvent(url, tick)
+            )
+            for model in (engine, twin):
+                apply_event(model, event)
+                run_sweeps(model, cfg, tick - 1, tick)
+            pred = predict(engine, url, window)
+            ref = reference_predict(twin, url, window)
+            assert pred.source == ref.source
+            assert pred.window == ref.window
+            assert pred.candidates == ref.candidates
+            assert repr(pred) == repr(ref)
+            assert hash(pred) == hash(ref)
+            assert pred == predict(engine, url, window)
+            if previous is not None:
+                assert (pred == previous[0]) == (ref == previous[1])
+            previous = pred, ref
+        assert settled_state(engine) == settled_state(twin)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of `Candidate` and `LevelRank` objects built from now on."""
+    counts = Counter()
+    for cls in (Candidate, LevelRank):
+
+        def counting(klass, *args, _new=cls.__new__, **kwargs):
+            counts[klass.__name__] += 1
+            return _new(klass, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    return counts
+
+
+class TestCandidatesBuiltOnRead:
+    @pytest.fixture
+    def demo(self):
+        g = parse_graph((DATA / "demo_site.txt").read_text())
+        return build_model(g, rank_pages(g))
+
+    def test_replay_builds_none(self, demo, constructions):
+        trace = parse_trace((DATA / "demo_trace.csv").read_text())
+        report = replay(demo, trace, 3, EngineConfig())
+        assert report.requests > 0
+        assert constructions == Counter()
+
+    def test_service_predicts_build_none(self, demo, constructions):
+        service = PredictionService(demo, EngineConfig())
+        for url in sorted(demo.records):
+            reply = service.handle_line(json.dumps({"kind": "predict", "url": url, "window": 3}))
+            assert "window" in json.loads(reply)
+        assert constructions == Counter()
+
+    def test_reading_candidates_builds_them(self, demo, constructions):
+        pred = predict(demo, "/", window=3)
+        assert constructions == Counter()
+        first = pred.candidates
+        n = len(first)
+        assert n > 0
+        assert constructions == Counter(Candidate=n, LevelRank=n)
+        assert pred.candidates == first
+        assert constructions == Counter(Candidate=2 * n, LevelRank=2 * n)

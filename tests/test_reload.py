@@ -50,6 +50,23 @@ class TestDumpKeepsState:
         assert model.settled("/s1/p12").level == 5
         assert reloaded.settled("/s1/p12").level == 5
 
+    def test_built_clock_starts_where_a_reload_resumes(self, demo_site):
+        """A service on a model built with a modification log and one on its
+        reloaded dump number their observes alike and end alike."""
+        cfg = EngineConfig(sweep_period=10)
+        log = ModificationLog(entries=(("/s1/p12", 40),))
+        built = build_model(demo_site, rank_pages(demo_site), dm_log=log)
+        assert built.tick == 40
+        services = [PredictionService(m, cfg) for m in (built, reload(built))]
+        observe = json.dumps({"kind": "observe", "url": "/s2/p3", "session": "s1"})
+        ask = json.dumps({"kind": "predict", "url": "/s2/p3", "window": 3})
+        for _ in range(10):
+            for line in (observe, ask):
+                first, second = (service.handle_line(line) for service in services)
+                assert first == second
+        assert built.tick == 50
+        assert services[0].snapshot_csv() == services[1].snapshot_csv()
+
     def test_level_cap_survives(self, demo_site):
         model = build_model(demo_site, rank_pages(demo_site), levels=4)
         reloaded = reload(model)

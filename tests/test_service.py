@@ -3,6 +3,7 @@ import os
 import signal
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,51 @@ class TestLineCap:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+class TestConnectionCap:
+    def test_connection_over_the_cap_gets_an_error_and_closes(self, service, monkeypatch):
+        monkeypatch.setattr("nextpage.service.MAX_CONNECTIONS", 2)
+        server = PredictionServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        address = server.server_address[:2]
+        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
+
+        def served(fh):
+            try:
+                fh.write(ask)
+                fh.flush()
+                return json.loads(fh.readline()) == {"window": ["S"]}
+            except OSError:  # a refused connection may be reset
+                return False
+
+        try:
+            with socket.create_connection(address, timeout=10) as a, a.makefile("rwb") as fa:
+                with socket.create_connection(address, timeout=10) as b, b.makefile("rwb") as fb:
+                    assert served(fa) and served(fb)
+                    with socket.create_connection(address, timeout=10) as c:
+                        with c.makefile("rb") as fc:
+                            assert json.loads(fc.readline()) == {
+                                "error": "too many connections (limit 2)"
+                            }
+                            assert fc.readline() == b""
+                    # the connections being served are undisturbed
+                    assert served(fa) and served(fb)
+            # both slots come back once their connections close; at most one
+            # socket is open while the server notices
+            for _ in range(100):
+                with socket.create_connection(address, timeout=10) as d, d.makefile("rwb") as fd:
+                    if served(fd):
+                        break
+                time.sleep(0.02)
+            else:
+                pytest.fail("no connection was served after the others closed")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestDeterminism:

@@ -125,6 +125,23 @@ class TestReplayScoring:
         report = replay(fresh_model(g), trace, window=2, cfg=CFG)
         assert report.requests == len(trace) - 4
 
+    def test_one_session_record_per_session(self, monkeypatch):
+        import nextpage.simulate as simulate
+
+        built = []
+
+        class Counted(SessionStats):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(simulate, "SessionStats", Counted)
+        g = chain_graph()
+        trace = generate_trace(g, sessions=4, length=9, affinity=0.5, seed=11)
+        report = replay(fresh_model(g), trace, window=2, cfg=CFG)
+        assert len(built) == 4
+        assert sorted(map(id, built)) == sorted(map(id, report.per_session.values()))
+
     def test_empty_trace(self):
         report = replay(fresh_model(chain_graph()), [], window=2, cfg=CFG)
         assert (report.requests, report.hits) == (0, 0)
