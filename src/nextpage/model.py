@@ -272,14 +272,19 @@ def model_to_csv(model: Model | ModelImage) -> str:
     sorted by URL, every record settled first.
     """
     image = model if isinstance(model, ModelImage) else model_image(model)
-    lines = [f"{MODEL_V2_TAG},levels={image.levels}", MODEL_V2_HEADER]
-    for i, (url, lc, level, cls, ts, dm, ordinal, dm_seen, links) in enumerate(
-        image.rows, start=1
-    ):
-        lines.append(
-            f"A{i},{url},{lc},{level},{cls},{ts},{dm},{ordinal},{dm_seen},{';'.join(links)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = image.rows
+    pieces = [f"{MODEL_V2_TAG},levels={image.levels}\n{MODEL_V2_HEADER}\n"]
+    # A thousand rows at a time, so that the lines of every row are never
+    # held beside the text at once.
+    for first in range(0, len(rows), 1000):
+        lines = [
+            f"A{i},{url},{lc},{level},{cls},{ts},{dm},{ordinal},{dm_seen},{';'.join(links)}\n"
+            for i, (url, lc, level, cls, ts, dm, ordinal, dm_seen, links) in enumerate(
+                rows[first : first + 1000], start=first + 1
+            )
+        ]
+        pieces.append("".join(lines))
+    return "".join(pieces)
 
 
 def _parse_levels_line(line: str) -> int:

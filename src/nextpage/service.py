@@ -9,7 +9,9 @@ One JSON object per line in both directions over a plain TCP socket:
 Malformed requests get an {"error": ...} response and the connection stays
 usable; a request line longer than MAX_LINE_BYTES gets one and its connection
 is closed, and so does a connection beyond the MAX_CONNECTIONS being served.
-Replies are sent with TCP_NODELAY, so none waits on the client's delayed ACK.
+A connection silent for IDLE_TIMEOUT_S is closed.  Requests may be pipelined:
+replies come back in request order, and those to the lines of one read go out
+in one send, with TCP_NODELAY, so none waits on the client's delayed ACK.
 Observes are serialized through one lock; each advances the model's logical
 clock one tick, then runs the sweeps due at that tick on the schedule replay
 uses (`updates.run_sweeps`), so a given request sequence always leaves the
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import socketserver
 import threading
 
@@ -95,27 +98,70 @@ class PredictionService:
 # error reply and its connection is closed.
 MAX_LINE_BYTES = 65536
 
+# The most bytes one read takes from a connection.
+READ_BYTES = 8192
+
 # The most connections served at once, each on its own thread.  One more gets
 # an error reply and is closed.
 MAX_CONNECTIONS = 64
 
+# Seconds a connection may stay silent, or leave a reply unread, before it is
+# closed and its slot freed.
+IDLE_TIMEOUT_S = 120.0
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    disable_nagle_algorithm = True
+
+class _LineHandler(socketserver.BaseRequestHandler):
+    """Serve one connection a read at a time: answer, in order, every line
+    that the read completes, and send those replies in one send.
+
+    A client that waits for each reply gets one line per read and one send
+    per reply; one that pipelines gets replies in batches that grow with its
+    backlog.  The read buffer holds one line of MAX_LINE_BYTES and the byte
+    after it, which tells an over-long line from a final unterminated one.
+    """
 
     def handle(self):
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                error = f"request line longer than {MAX_LINE_BYTES} bytes"
-                self._reply(json.dumps({"error": error}))
-                return
-            line = raw.decode("utf-8", errors="replace").strip()
+        sock = self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(IDLE_TIMEOUT_S)
+        cap = MAX_LINE_BYTES
+        buf = bytearray(cap + 1)
+        view = memoryview(buf)
+        end = 0  # buf[:end] is the start of a line, no newline in it yet
+        handle_line = self.server.service.handle_line
+        try:
+            while n := sock.recv_into(view[end:], min(READ_BYTES, cap + 1 - end)):
+                replies = []
+                start, scan, end = 0, end, end + n  # no newline before `scan`
+                while (newline := buf.find(b"\n", scan, end)) >= 0 and newline - start < cap:
+                    line = buf[start:newline].decode("utf-8", "replace").strip()
+                    if line:
+                        replies.append(handle_line(line))
+                    start = scan = newline + 1
+                if newline >= 0 or end - start > cap:
+                    replies.append(json.dumps({"error": f"request line longer than {cap} bytes"}))
+                    _send_replies(sock, replies)
+                    return
+                if replies:
+                    _send_replies(sock, replies)
+                if start:
+                    buf[: end - start] = buf[start:end]
+                    end -= start
+            # at EOF, a last line without a newline is answered all the same
+            line = buf[:end].decode("utf-8", "replace").strip()
             if line:
-                self._reply(self.server.service.handle_line(line))
+                _send_replies(sock, [handle_line(line)])
+        except TimeoutError:
+            pass  # silent, or its replies unread, for IDLE_TIMEOUT_S: close
 
-    def _reply(self, response: str) -> None:
-        self.wfile.write(response.encode("utf-8") + b"\n")
-        self.wfile.flush()
+
+def _send_replies(sock: socket.socket, replies: list[str]) -> None:
+    """Send `replies` one per line in one send; empties the list, so that a
+    lone large reply is not held beside its joined copy."""
+    replies.append("")
+    text = "\n".join(replies)
+    replies.clear()
+    sock.sendall(text.encode("utf-8"))
 
 
 class PredictionServer(socketserver.ThreadingTCPServer):
@@ -125,10 +171,12 @@ class PredictionServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, service: PredictionService):
         super().__init__(address, _LineHandler)
         self.service = service
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._serving = set()  # the connections being served
 
     def process_request(self, request, client_address):
-        if not self._slots.acquire(blocking=False):
+        # Only this thread adds connections, so none can be added between the
+        # count and the add; handler threads only take theirs out.
+        if len(self._serving) >= MAX_CONNECTIONS:
             error = f"too many connections (limit {MAX_CONNECTIONS})"
             try:
                 request.sendall(json.dumps({"error": error}).encode("utf-8") + b"\n")
@@ -136,18 +184,21 @@ class PredictionServer(socketserver.ThreadingTCPServer):
                 pass
             self.shutdown_request(request)
             return
+        self._serving.add(request)
         try:
             super().process_request(request, client_address)
         except BaseException:
-            # No thread started, so none will give the slot back.
-            self._slots.release()
+            # Maybe no thread started to take the connection out.  If one did
+            # (an interrupt can land just after), taking it out twice is
+            # harmless.
+            self._serving.discard(request)
             raise
 
     def process_request_thread(self, request, client_address):
         try:
             super().process_request_thread(request, client_address)
         finally:
-            self._slots.release()
+            self._serving.discard(request)
 
 
 def _write_snapshot(path: str, text: str) -> None:

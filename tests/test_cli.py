@@ -4,6 +4,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,7 +24,10 @@ from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_from_csv, model_to_csv
 from nextpage.ranking import rank_pages
 from nextpage.service import PredictionService
+from nextpage.simulate import parse_trace
 from nextpage.sitegraph import parse_graph
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -289,3 +293,44 @@ class TestServeSubprocess:
         assert model_to_csv(model_from_csv(snapshot)) == snapshot
         assert snapshot == expected
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_pipelined_demo_trace_then_sigterm(self, tmp_path):
+        """The demo trace's observe/predict stream, sent in one go, is
+        answered as an in-process service answers it, and SIGTERM leaves
+        that service's model as the final snapshot."""
+        model_file = tmp_path / "demo.csv"
+        graph_file = str(DATA / "demo_site.txt")
+        assert main(["build", "--graph", graph_file, "--out", str(model_file)]) == EXIT_OK
+        stream = []
+        for ev in parse_trace((DATA / "demo_trace.csv").read_text()):
+            stream.append(json.dumps({"kind": "observe", "url": ev.url, "session": ev.session_id}))
+            stream.append(json.dumps({"kind": "predict", "url": ev.url, "window": 3}))
+        reference = PredictionService(model_from_csv(model_file.read_text()), EngineConfig())
+        expected = [reference.handle_line(line) for line in stream]
+
+        snap = tmp_path / "snap.csv"
+        with subprocess.Popen(
+            [sys.executable, "-m", "nextpage", "serve", "--model", str(model_file),
+             "--port", "0", "--snapshot-out", str(snap)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        ) as proc:
+            try:
+                ready = proc.stdout.readline().strip()
+                assert ready.startswith("listening on ")
+                host, port = ready.removeprefix("listening on ").rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=30) as conn:
+                    payload = "".join(line + "\n" for line in stream).encode()
+                    # sent from a thread, so that replies are read while it sends
+                    sender = threading.Thread(target=conn.sendall, args=(payload,))
+                    sender.start()
+                    with conn.makefile("rb") as reader:
+                        replies = [reader.readline().decode().rstrip("\n") for _ in stream]
+                    sender.join(timeout=30)
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=15) == 0
+        assert replies == expected
+        assert snap.read_text() == reference.snapshot_csv()

@@ -2,8 +2,10 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import settled_state
+from nextpage import service as service_mod
 from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
@@ -285,6 +288,134 @@ class TestSocketTransport:
             thread.join(timeout=10)
 
 
+@contextmanager
+def serving_on(server):
+    """Run `server` on a thread; yields its address."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def serving(service):
+    """A PredictionServer for `service` on a free port, run on a thread."""
+    return serving_on(PredictionServer(("127.0.0.1", 0), service))
+
+
+def read_to_eof(conn):
+    with conn.makefile("rb") as reader:
+        return reader.read()
+
+
+class ScriptedSocket:
+    """Stands in for a connection: each `recv_into` returns the next chunk of
+    `chunks` (EOF after the last), and everything sent is kept."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.reads = 0
+        self.sent = b""
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv_into(self, buffer, nbytes):
+        self.reads += 1
+        if not self.chunks:
+            return 0
+        chunk = self.chunks.pop(0)
+        assert len(chunk) <= nbytes
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+    def sendall(self, data):
+        self.sent += data
+
+
+MIXED_PIPELINE = [
+    '{"kind": "observe", "url": "H", "session": "s1"}',
+    '{"kind": "predict", "url": "H", "window": 2}',
+    "",
+    "{nope",
+    '{"kind": "observe", "url": "S", "session": "s1"}',
+    '{"kind": "snapshot"}',
+    '{"kind": "predict", "url": "S", "window": 3}',
+]
+
+
+class TestPipelining:
+    def test_mixed_pipeline_answered_in_order(self, micro_site):
+        cfg = EngineConfig(sweep_period=2, demote_threshold=2)
+        served = PredictionService(build_model(micro_site, rank_pages(micro_site)), cfg)
+        reference = PredictionService(build_model(micro_site, rank_pages(micro_site)), cfg)
+        expected = [reference.handle_line(line) for line in MIXED_PIPELINE if line]
+        with serving(served) as address:
+            with socket.create_connection(address, timeout=10) as conn:
+                conn.sendall("".join(line + "\n" for line in MIXED_PIPELINE).encode())
+                conn.shutdown(socket.SHUT_WR)
+                replies = read_to_eof(conn).decode().split("\n")
+        assert replies == expected + [""]
+        assert json.loads(replies[2])["error"].startswith("bad JSON")
+
+    def test_request_split_across_reads(self, service):
+        """One byte per read, through a multi-byte UTF-8 character."""
+        line = json.dumps({"kind": "predict", "url": "Hé", "window": 1}, ensure_ascii=False)
+        data = line.encode() + b"\n" + b'{"kind": "predict", "url": "H", "window": 1}\n'
+        sock = ScriptedSocket(data[i : i + 1] for i in range(len(data)))
+        server = PredictionServer(("127.0.0.1", 0), service)
+        try:
+            server.finish_request(sock, ("127.0.0.1", 0))
+        finally:
+            server.server_close()
+        assert sock.reads == len(data) + 1
+        assert sock.sent.decode().split("\n") == [
+            json.dumps({"error": "unknown page Hé"}),
+            json.dumps({"window": ["S"]}),
+            "",
+        ]
+
+    def test_undecodable_bytes_replaced(self, service):
+        sock = ScriptedSocket([b'{"kind": "predict", "url": "\xff", "window": 1}\n'])
+        server = PredictionServer(("127.0.0.1", 0), service)
+        try:
+            server.finish_request(sock, ("127.0.0.1", 0))
+        finally:
+            server.server_close()
+        assert json.loads(sock.sent) == {"error": "unknown page \ufffd"}
+
+    def test_unterminated_last_line_answered_at_eof(self, service):
+        with serving(service) as address:
+            with socket.create_connection(address, timeout=10) as conn:
+                conn.sendall(b'{"kind": "predict", "url": "H", "window": 1}\n'
+                             b'{"kind": "predict", "url": "H", "window": 2}')
+                conn.shutdown(socket.SHUT_WR)
+                replies = read_to_eof(conn).split(b"\n")
+        assert [json.loads(r) for r in replies[:-1]] == [{"window": ["S"]}, {"window": ["S", "M"]}]
+        assert replies[-1] == b""
+
+    def test_over_long_line_inside_a_batch(self, service, monkeypatch):
+        monkeypatch.setattr("nextpage.service.MAX_LINE_BYTES", 48)
+        ask = b'{"kind": "predict", "url": "H", "window": 1}'
+        batch = ask + b"\n" + b"\n" + ask.ljust(48) + b"\n" + ask + b"\n"
+        with serving(service) as address:
+            with socket.create_connection(address, timeout=10) as conn:
+                conn.sendall(batch)
+                replies = read_to_eof(conn).split(b"\n")
+        assert [json.loads(r) for r in replies[:-1]] == [
+            {"window": ["S"]},
+            {"error": "request line longer than 48 bytes"},
+        ]
+        assert replies[-1] == b""
+
+
 class TestLineCap:
     def test_over_long_line_gets_an_error_and_closes(self, service, monkeypatch):
         monkeypatch.setattr("nextpage.service.MAX_LINE_BYTES", 32)
@@ -315,6 +446,20 @@ class TestLineCap:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+    def test_unterminated_line_of_the_cap_is_answered(self, service, monkeypatch):
+        monkeypatch.setattr("nextpage.service.MAX_LINE_BYTES", 32)
+        snapshot = b'{"kind": "snapshot"}'
+        replies = []
+        with serving(service) as address:
+            for line in (snapshot.ljust(32), snapshot.ljust(33)):
+                with socket.create_connection(address, timeout=10) as conn:
+                    conn.sendall(line)
+                    conn.shutdown(socket.SHUT_WR)
+                    replies.append(json.loads(read_to_eof(conn)))
+        assert "snapshot" in replies[0]
+        assert replies[1] == {"error": "request line longer than 32 bytes"}
 
 
 class TestConnectionCap:
@@ -360,6 +505,115 @@ class TestConnectionCap:
             server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+def free_slots(server):
+    """How many more connections `server` would serve now."""
+    return service_mod.MAX_CONNECTIONS - len(server._serving)
+
+
+class TestSlotRelease:
+    @pytest.mark.parametrize("when", ["before start", "thread running", "thread done"])
+    def test_interrupt_in_thread_start_propagates(self, service, monkeypatch, when):
+        """A Ctrl-C or SIGTERM landing while the handler thread starts stops
+        the server, and the slot is given back once, whether the thread ran
+        or not."""
+        thread_errors, started = [], []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        start = threading.Thread.start
+
+        def start_then_interrupt(thread):
+            if when != "before start":
+                start(thread)
+                started.append(thread)
+            if when == "thread done":
+                thread.join(timeout=10)
+            raise KeyboardInterrupt
+
+        server = PredictionServer(("127.0.0.1", 0), service)
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as conn:
+                conn.sendall(b'{"kind": "predict", "url": "H", "window": 1}\n')
+                conn.shutdown(socket.SHUT_WR)
+                monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+                with pytest.raises(KeyboardInterrupt):
+                    server.handle_request()
+                monkeypatch.setattr(threading.Thread, "start", start)
+                reply = read_to_eof(conn)
+            for thread in started:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            if when == "thread done":
+                assert json.loads(reply) == {"window": ["S"]}
+            # else the server closed the connection before or under its thread
+            assert free_slots(server) == service_mod.MAX_CONNECTIONS
+        finally:
+            server.server_close()
+        assert thread_errors == []
+
+
+    def test_slots_survive_churn(self, service, monkeypatch):
+        """Many clients connecting at once, over a small cap, with frequent
+        thread switches: every slot comes back."""
+        monkeypatch.setattr("nextpage.service.MAX_CONNECTIONS", 3)
+        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
+        answered = []
+
+        def client(address):
+            for _ in range(10):
+                with socket.create_connection(address, timeout=10) as conn:
+                    try:
+                        conn.sendall(ask)
+                        conn.shutdown(socket.SHUT_WR)
+                        answered.append(read_to_eof(conn))
+                    except OSError:  # a refused connection may be reset
+                        answered.append(b"reset")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server = PredictionServer(("127.0.0.1", 0), service)
+            with serving_on(server) as address:
+                clients = [threading.Thread(target=client, args=(address,)) for _ in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for _ in range(500):
+                    if free_slots(server) == 3:
+                        break
+                    time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(answered) == 80
+        assert b'{"window": ["S"]}\n' in answered
+        assert free_slots(server) == 3
+
+
+class TestIdleTimeout:
+    def test_idle_connections_are_closed_and_free_their_slots(
+        self, service, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("nextpage.service.MAX_CONNECTIONS", 2)
+        monkeypatch.setattr("nextpage.service.IDLE_TIMEOUT_S", 0.3)
+        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
+        with serving(service) as address:
+            with socket.create_connection(address, timeout=10) as a:
+                with socket.create_connection(address, timeout=10) as b:
+                    a.sendall(ask)
+                    with a.makefile("rb") as fa:
+                        assert json.loads(fa.readline()) == {"window": ["S"]}
+                    with socket.create_connection(address, timeout=10) as c:
+                        assert "too many connections" in json.loads(read_to_eof(c))["error"]
+                    # both idle connections are closed with nothing sent
+                    assert read_to_eof(a) == b""
+                    assert read_to_eof(b) == b""
+                    with socket.create_connection(address, timeout=10) as d:
+                        d.sendall(ask)
+                        d.shutdown(socket.SHUT_WR)
+                        assert json.loads(read_to_eof(d)) == {"window": ["S"]}
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDeterminism:
