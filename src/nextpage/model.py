@@ -11,7 +11,8 @@ Levels partition the same pages by popularity: ordinal ranks are split into
 L = ceil(sqrt(p)) contiguous groups, higher ordinals in higher levels.  Class
 numbers stay fixed for the life of the model; levels move with the access
 stream (see updates.py).  Demotions of idle pages are settled when a record is
-read, so level, lc and ts are read through `Model.settled`.
+read, so level, lc and ts are read through `Model.settled`, or through
+`_settle` on a record already at hand.
 """
 
 from __future__ import annotations
@@ -64,6 +65,31 @@ class Schedule(NamedTuple):
     period: int
 
 
+def _settle(s: Schedule, rec: PageRecord) -> None:
+    """Apply to `rec` the demotions the sweeps of `s` owe it.
+
+    The caller has checked that it owes some: a record above level 1 owes
+    demotions exactly when its ts is at or below `s.last - s.threshold`
+    (the cutoff).  A sweep demotes a page above level 1 that has been
+    idle for `threshold` ticks one level, resetting lc and stamping ts with
+    the sweep tick.  So an untouched page is demoted at the first sweep tick
+    s1 >= ts + threshold and then every `step` ticks (the threshold rounded
+    up to whole periods) until it reaches level 1.
+    """
+    period = s.period
+    due = rec.ts + s.threshold
+    s1 = due + (s.last - due) % period
+    if s1 < s.first:
+        s1 = s.first
+    step = -(-s.threshold // period) * period
+    k = 1 + (s.last - s1) // step
+    if k >= rec.level:
+        k = rec.level - 1
+    rec.level -= k
+    rec.lc = 0
+    rec.ts = s1 + (k - 1) * step
+
+
 @dataclass
 class Model:
     """The prediction model: URL-indexed records, the level cap and the clock.
@@ -72,7 +98,11 @@ class Model:
     ordinal never change after construction.  `schedule` holds the demotion
     sweeps run so far (None before the first); a record may owe demotions to
     them until it is read through `settled`.  `pending` holds the pages with a
-    modification no modification sweep has examined yet.
+    modification no modification sweep has examined yet.  `link_records`
+    caches each page's distinct out-link records, sorted by URL, as `predict`
+    first asks for them; it is not part of the model's state, so equality,
+    repr and the dump ignore it.  It holds the record objects themselves, so
+    records are changed in place, never replaced.
     """
 
     records: dict[str, PageRecord]
@@ -80,44 +110,31 @@ class Model:
     tick: int = 0
     schedule: Schedule | None = None
     pending: set[str] = field(default_factory=set)
+    link_records: dict[str, tuple[PageRecord, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.pending.update(url for url, r in self.records.items() if r.dm > r.dm_seen)
 
-    @property
-    def cutoff(self) -> float:
-        """A record above level 1 owes a demotion exactly when its ts is at
-        or below this tick."""
-        s = self.schedule
-        return -math.inf if s is None else s.last - s.threshold
-
     def settled(self, url: str) -> PageRecord:
-        """The record of `url` with the demotions the sweeps so far owe it applied.
-
-        A sweep demotes a page above level 1 that has been idle for
-        `threshold` ticks one level, resetting lc and stamping ts with the
-        sweep tick.  So an untouched page is demoted at the first sweep tick
-        s1 >= ts + threshold and then every `step` ticks (the threshold
-        rounded up to whole periods) until it reaches level 1.
-        """
+        """The record of `url` with the demotions the sweeps so far owe it
+        applied (see `_settle`)."""
         rec = self.records[url]
         s = self.schedule
         if s is not None and rec.level > 1 and rec.ts <= s.last - s.threshold:
-            due = rec.ts + s.threshold
-            s1 = max(s.first, due + (s.last - due) % s.period)
-            step = -(-s.threshold // s.period) * s.period
-            k = min(rec.level - 1, 1 + (s.last - s1) // step)
-            rec.level -= k
-            rec.lc = 0
-            rec.ts = s1 + (k - 1) * step
+            _settle(s, rec)
         return rec
 
     def settle_all(self) -> None:
         """Settle every record that owes demotions."""
-        cutoff = self.cutoff
-        for url, rec in self.records.items():
+        s = self.schedule
+        if s is None:
+            return
+        cutoff = s.last - s.threshold
+        for rec in self.records.values():
             if rec.ts <= cutoff and rec.level > 1:
-                self.settled(url)
+                _settle(s, rec)
 
 
 def assign_classes(g: SiteGraph) -> tuple[dict[str, int], list[str]]:
@@ -304,6 +321,9 @@ def _parse_rows(lines: list[str], first_lineno: int, width: int) -> list[tuple]:
     both versions share: field count, integers, URL syntax, duplicate URLs
     and link targets."""
     rows = []
+    # One string object per distinct URL, shared by its row and every link
+    # to it, so the link lists hold no strings of their own.
+    shared: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.split(",")
         if len(fields) != width:
@@ -312,12 +332,13 @@ def _parse_rows(lines: list[str], first_lineno: int, width: int) -> list[tuple]:
             numbers = list(map(int, fields[2:-1]))
         except ValueError:
             raise ModelFormatError("counter fields must be integers", lineno) from None
-        url, links = fields[1], fields[-1]
+        url = shared.setdefault(fields[1], fields[1])
         try:
             _check_url(url)
         except ValidationError as e:
             raise ModelFormatError(str(e), lineno) from None
-        rows.append((lineno, url, numbers, tuple(links.split(";")) if links else ()))
+        targets = fields[-1].split(";") if fields[-1] else ()
+        rows.append((lineno, url, numbers, tuple(map(shared.setdefault, targets, targets))))
 
     if not rows:
         raise ModelFormatError("model dump has no rows")

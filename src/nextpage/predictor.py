@@ -12,12 +12,13 @@ a `Candidate` is built from its key only when `Prediction.candidates` is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import UnknownPageError, ValidationError
-from .model import Model
+from .model import Model, _settle
 
 
 class LevelRank(NamedTuple):
@@ -88,28 +89,32 @@ class Prediction:
 def predict(model: Model, url: str, window: int) -> Prediction:
     """Predict the next requests after `url` and return the top-`window` URLs.
 
-    Candidates are the page's distinct direct out-links, each settled (see
-    `Model.settled`) before its level is read.  Class 0 never counts as a
-    match.  Raises UnknownPageError for URLs outside the model;
-    the caller should then serve the request without prefetching.
+    Candidates are the page's distinct direct out-links, read from
+    `Model.link_records` (built on a page's first prediction), each settled
+    (see `Model.settled`) before its level is read.  Class 0 never counts as
+    a match.  Raises UnknownPageError for URLs outside the model; the caller
+    should then serve the request without prefetching.
     """
     if window < 0:
         raise ValidationError("window must be non-negative")
     source = model.records.get(url)
     if source is None:
         raise UnknownPageError(url)
+    links = model.link_records.get(url)
+    if links is None:
+        records = model.records
+        links = model.link_records[url] = tuple([records[t] for t in sorted(set(source.links))])
 
-    records = model.records
-    cutoff = model.cutoff
+    s = model.schedule
+    cutoff = -math.inf if s is None else s.last - s.threshold
     source_class = source.class_no
     ranked = []
-    for target in sorted(set(source.links)):
-        rec = records[target]
+    for rec in links:
         if rec.ts <= cutoff and rec.level > 1:
-            rec = model.settled(target)
+            _settle(s, rec)
         class_no = rec.class_no
         match = class_no == source_class and class_no != 0
-        ranked.append((match, rec.level, rec.ordinal, target, class_no))
+        ranked.append((match, rec.level, rec.ordinal, rec.url, class_no))
     # The sort is stable under reverse=True, so URL order breaks full ties.
     ranked.sort(key=_PRECEDENCE, reverse=True)
     return Prediction(url, tuple([key[3] for key in ranked[:window]]), ranked)

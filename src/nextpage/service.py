@@ -9,7 +9,8 @@ One JSON object per line in both directions over a plain TCP socket:
 Malformed requests get an {"error": ...} response and the connection stays
 usable; a request line longer than MAX_LINE_BYTES gets one and its connection
 is closed, and so does a connection beyond the MAX_CONNECTIONS being served.
-A connection silent for IDLE_TIMEOUT_S is closed.  Requests may be pipelined:
+A connection silent for IDLE_TIMEOUT_S is closed, and so, with no traceback,
+is one its peer resets.  Requests may be pipelined:
 replies come back in request order, and those to the lines of one read go out
 in one send, with TCP_NODELAY, so none waits on the client's delayed ACK.
 Observes are serialized through one lock; each advances the model's logical
@@ -32,6 +33,11 @@ from .errors import EngineError
 from .model import Model, model_image, model_to_csv
 from .predictor import predict
 from .updates import SessionEvent, apply_event, run_sweeps
+
+
+# The reply to every observe that succeeds, and its line, made once.
+_OK = {"ok": True}
+_OK_LINE = json.dumps(_OK)
 
 
 class PredictionService:
@@ -62,7 +68,8 @@ class PredictionService:
             request = json.loads(line)
         except json.JSONDecodeError as e:
             return json.dumps({"error": f"bad JSON: {e.msg}"})
-        return json.dumps(self.handle(request))
+        reply = self.handle(request)
+        return _OK_LINE if reply == _OK else json.dumps(reply)
 
     def _predict(self, request: dict) -> dict:
         url = request.get("url")
@@ -122,14 +129,14 @@ class _LineHandler(socketserver.BaseRequestHandler):
 
     def handle(self):
         sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(IDLE_TIMEOUT_S)
         cap = MAX_LINE_BYTES
         buf = bytearray(cap + 1)
         view = memoryview(buf)
         end = 0  # buf[:end] is the start of a line, no newline in it yet
         handle_line = self.server.service.handle_line
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(IDLE_TIMEOUT_S)
             while n := sock.recv_into(view[end:], min(READ_BYTES, cap + 1 - end)):
                 replies = []
                 start, scan, end = 0, end, end + n  # no newline before `scan`
@@ -151,8 +158,12 @@ class _LineHandler(socketserver.BaseRequestHandler):
             line = buf[:end].decode("utf-8", "replace").strip()
             if line:
                 _send_replies(sock, [handle_line(line)])
-        except TimeoutError:
-            pass  # silent, or its replies unread, for IDLE_TIMEOUT_S: close
+        except OSError:
+            # Silent, or its replies unread, for IDLE_TIMEOUT_S (TimeoutError);
+            # reset by the peer (ConnectionResetError); or shut down and closed
+            # under this thread by an interrupted server (BrokenPipeError, or
+            # EBADF): the connection is over, and closing it is no error.
+            pass
 
 
 def _send_replies(sock: socket.socket, replies: list[str]) -> None:

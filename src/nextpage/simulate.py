@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from .config import EngineConfig
 from .errors import TraceFormatError, UnknownPageError, ValidationError
@@ -87,45 +86,46 @@ def replay(
             raise UnknownPageError(mod.url)
 
     # Merged timeline: by tick, modifications before requests on equal ticks.
-    timeline = sorted(
-        [(m.tick, 0, i, m) for i, m in enumerate(mods)]
-        + [(e.tick, 1, i, e) for i, e in enumerate(trace)],
-        key=lambda item: item[:3],
-    )
+    # (tick, kind, index) is unique, so the sort never compares two events.
+    timeline = [(m.tick, 0, i, m) for i, m in enumerate(mods)]
+    timeline += [(e.tick, 1, i, e) for i, e in enumerate(trace)]
+    timeline.sort()
 
     caches: dict[str, set[str]] = {}
     stats: dict[str, SessionStats] = {}
     requests = 0
     hits = 0
-    previous = 0
+    done = 0  # the sweeps due at ticks up to here have run
+    current = None
 
-    for tick, group in groupby(timeline, key=lambda item: item[0]):
-        run_sweeps(model, cfg, previous, tick - 1)
-        for _, _, _, event in group:
-            if isinstance(event, ModificationEvent):
-                apply_event(model, event)
-                continue
-            session = stats.get(event.session_id)
-            if session is None:
-                stats[event.session_id] = SessionStats()
-                cache = caches[event.session_id] = set()
-            else:
-                cache = caches[event.session_id]
-                session.requests += 1
-                requests += 1
-                if event.url in cache:
-                    session.hits += 1
-                    hits += 1
+    for tick, kind, _, event in timeline:
+        if tick != current:
+            # the sweeps due since the last tick, that tick's own included
+            run_sweeps(model, cfg, done, tick - 1)
+            done, current = tick - 1, tick
+        if kind == 0:
             apply_event(model, event)
-            prediction = predict(model, event.url, window)
-            if window_only_cache:
-                caches[event.session_id] = set(prediction.window)
-            else:
-                cache.update(prediction.window)
+            continue
+        session = stats.get(event.session_id)
+        if session is None:
+            stats[event.session_id] = SessionStats()
+            cache = caches[event.session_id] = set()
+        else:
+            cache = caches[event.session_id]
+            session.requests += 1
+            requests += 1
+            if event.url in cache:
+                session.hits += 1
+                hits += 1
+        apply_event(model, event)
+        prediction = predict(model, event.url, window)
+        if window_only_cache:
+            caches[event.session_id] = set(prediction.window)
+        else:
+            cache.update(prediction.window)
 
-        run_sweeps(model, cfg, tick - 1, tick)
-        previous = tick
-
+    if timeline:
+        run_sweeps(model, cfg, done, current)
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 
 

@@ -9,8 +9,8 @@ are assigned at build time and never change here.
 
 Demotion is settled on read.  Whether and how often an untouched page has
 been demoted follows from its (level, ts) and the sweeps run so far, so the
-demotion sweep only records that it ran (`Model.schedule`) and
-`Model.settled` applies the demotions a record owes when something reads it:
+demotion sweep only records that it ran (`Model.schedule`) and one rule,
+`model._settle`, applies the demotions a record owes when something reads it:
 an access, the modification sweep, `predict` and the dump.  The modification
 sweep walks only the pages modified since it last ran (`Model.pending`).  A
 sweep that does not continue the schedule (another threshold or period, or a
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .config import EngineConfig
 from .errors import UnknownPageError
-from .model import Model, Schedule
+from .model import Model, Schedule, _settle
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ def record_access(model: Model, url: str, now: int) -> bool:
     if rec is None:
         raise UnknownPageError(url)
     _rewind(model, now)
-    if rec.ts <= model.cutoff and rec.level > 1:
-        model.settled(url)
+    s = model.schedule
+    if s is not None and rec.level > 1 and rec.ts <= s.last - s.threshold:
+        _settle(s, rec)
     if rec.level >= model.levels:
         rec.ts = now
         return False

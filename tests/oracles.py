@@ -224,13 +224,9 @@ def reference_predict(model: Model, url: str, window: int) -> Prediction:
     if source is None:
         raise UnknownPageError(url)
 
-    records = model.records
-    cutoff = model.cutoff
     candidates = []
     for target in sorted(set(source.links)):
-        rec = records[target]
-        if rec.ts <= cutoff and rec.level > 1:
-            rec = model.settled(target)
+        rec = model.settled(target)
         candidates.append(
             Candidate(
                 target,

@@ -315,6 +315,25 @@ class TestModelCsv:
         assert classes_of(reloaded) == classes_of(model)
         assert len(reloaded.records) == len(model.records)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MODEL_CSV_HEADER + "\nA1,/home,0,1,1,0,0,/news;/about\nA2,/news,0,1,1,0,0,/about;/home\n"
+            "A3,/about,0,1,1,0,0,\n",
+            V2 + "A1,/home,0,1,1,0,0,1,0,/news;/about\nA2,/news,0,1,1,0,0,2,0,/about;/home\n"
+            "A3,/about,0,1,1,0,0,3,0,\n",
+        ],
+        ids=["v1", "v2"],
+    )
+    def test_link_targets_share_the_url_strings(self, text):
+        """A loaded link list holds the URL strings of the pages it names,
+        not strings of its own."""
+        reloaded = model_from_csv(text)
+        links = [t for rec in reloaded.records.values() for t in rec.links]
+        assert links
+        for target in links:
+            assert target is reloaded.records[target].url
+
     def test_reload_recovers_ordinals(self):
         reloaded = model_from_csv(MICRO_CSV)
         for url, rec in reloaded.records.items():

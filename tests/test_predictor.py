@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from functools import cmp_to_key
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import settled_state
 from nextpage.config import EngineConfig
 from nextpage.errors import UnknownPageError, ValidationError
-from nextpage.model import build_model
+from nextpage.model import build_model, model_to_csv
 from nextpage.predictor import Candidate, LevelRank, compare_level_rank, predict
 from nextpage.ranking import rank_pages
 from nextpage.service import PredictionService
@@ -222,6 +223,54 @@ class TestPredictionRecord:
         assert pred == predict(model, "H", window=1)
         assert pred != predict(model, "H", window=2)
         assert pred != (pred.source, pred.candidates, pred.window)
+
+
+class TestLinkRecords:
+    def test_built_once_per_page_distinct_and_sorted(self):
+        model = model_of(["a", "b", "c"], {"a": ["c", "b", "c", "a"], "b": [], "c": []}, ["a"])
+        assert model.link_records == {}
+        first = predict(model, "a", window=3)
+        links = model.link_records["a"]
+        assert [rec.url for rec in links] == ["a", "b", "c"]
+        assert all(rec is model.records[rec.url] for rec in links)
+        force(model, "b", level=2)
+        assert predict(model, "a", window=3) != first
+        assert model.link_records["a"] is links
+        assert set(model.link_records) == {"a"}
+
+    def test_not_part_of_the_model(self, micro_site):
+        """Equality, repr and the dump ignore the cache."""
+        cached, plain = (build_model(micro_site, rank_pages(micro_site)) for _ in range(2))
+        for url in cached.records:
+            predict(cached, url, window=2)
+        assert len(cached.link_records) == len(cached.records)
+        assert cached == plain
+        assert repr(cached) == repr(plain)
+        assert "link_records" not in repr(cached)
+        assert model_to_csv(cached) == model_to_csv(plain)
+
+    def test_survives_a_pickle_clone(self, micro_site):
+        """A clone's cache holds the clone's own records, so events on the
+        clone show in its predictions and leave the original's alone."""
+        cfg = EngineConfig(demote_threshold=2, sweep_period=1)
+        model = build_model(micro_site, rank_pages(micro_site))
+        for url in model.records:
+            predict(model, url, window=2)
+        clone = pickle.loads(pickle.dumps(model, pickle.HIGHEST_PROTOCOL))
+        assert clone == model
+        assert clone.link_records.keys() == model.link_records.keys()
+        for url, links in clone.link_records.items():
+            assert all(rec is clone.records[rec.url] for rec in links)
+        twin = build_model(micro_site, rank_pages(micro_site))
+        for tick, url in enumerate(["a", "a", "a", "b", "M", "c", "S"], start=1):
+            for m in (clone, twin):
+                apply_event(m, SessionEvent("s1", url, tick))
+                run_sweeps(m, cfg, tick - 1, tick)
+            for source in clone.records:
+                pred, ref = predict(clone, source, window=3), reference_predict(twin, source, 3)
+                assert (pred.window, pred.candidates) == (ref.window, ref.candidates)
+        assert clone == twin != model
+        assert model_to_csv(model) == model_to_csv(build_model(micro_site, rank_pages(micro_site)))
 
 
 @st.composite

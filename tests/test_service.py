@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -181,6 +182,17 @@ class TestProtocol:
     def test_handle_line_round_trip(self, service):
         line = json.dumps({"kind": "predict", "url": "H", "window": 1})
         assert json.loads(service.handle_line(line)) == {"window": ["S"]}
+
+    def test_observe_reply_line_is_the_dumped_reply(self, service):
+        """An observe's reply line is a ready-made constant; it must be the
+        bytes json.dumps gives, and a failed observe still gets its error."""
+        line = json.dumps({"kind": "observe", "url": "H", "session": "s1"})
+        assert service.handle_line(line) == json.dumps({"ok": True}) == '{"ok": true}'
+        reply = service.handle({"kind": "observe", "url": "S"})
+        reply["ok"] = False  # a caller's copy: changing it changes no later reply
+        assert service.handle_line(line) == '{"ok": true}'
+        bogus = json.loads(service.handle_line('{"kind": "observe", "url": "zz"}'))
+        assert "zz" in bogus["error"]
 
     def test_errors_keep_the_session_usable(self, service):
         assert "error" in service.handle_line("{bad")
@@ -514,7 +526,7 @@ def free_slots(server):
 
 class TestSlotRelease:
     @pytest.mark.parametrize("when", ["before start", "thread running", "thread done"])
-    def test_interrupt_in_thread_start_propagates(self, service, monkeypatch, when):
+    def test_interrupt_in_thread_start_propagates(self, service, monkeypatch, capsys, when):
         """A Ctrl-C or SIGTERM landing while the handler thread starts stops
         the server, and the slot is given back once, whether the thread ran
         or not."""
@@ -550,6 +562,8 @@ class TestSlotRelease:
         finally:
             server.server_close()
         assert thread_errors == []
+        # a thread whose socket the server shut down under it ends quietly
+        assert "Traceback" not in capsys.readouterr().err
 
 
     def test_slots_survive_churn(self, service, monkeypatch):
@@ -614,6 +628,40 @@ class TestIdleTimeout:
                         d.shutdown(socket.SHUT_WR)
                         assert json.loads(read_to_eof(d)) == {"window": ["S"]}
         assert "Traceback" not in capsys.readouterr().err
+
+
+def reset_by_peer(conn):
+    """Close `conn` with an RST instead of a FIN."""
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()
+
+
+class TestPeerReset:
+    @pytest.mark.parametrize("pending", [None, b'{"kind": "snapshot"}\n'])
+    def test_reset_connection_closes_quietly(self, service, capsys, pending):
+        """A client that resets its connection, idle or with a reply still to
+        come, leaves no traceback; its slot comes back and the server keeps
+        serving."""
+        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
+        server = PredictionServer(("127.0.0.1", 0), service)
+        with serving_on(server) as address:
+            conn = socket.create_connection(address, timeout=10)
+            conn.sendall(ask)
+            with conn.makefile("rb") as reader:
+                assert json.loads(reader.readline()) == {"window": ["S"]}
+            if pending is not None:
+                conn.sendall(pending)
+            reset_by_peer(conn)
+            for _ in range(500):
+                if free_slots(server) == service_mod.MAX_CONNECTIONS:
+                    break
+                time.sleep(0.01)
+            assert free_slots(server) == service_mod.MAX_CONNECTIONS
+            with socket.create_connection(address, timeout=10) as again:
+                again.sendall(ask)
+                again.shutdown(socket.SHUT_WR)
+                assert json.loads(read_to_eof(again)) == {"window": ["S"]}
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

@@ -1,6 +1,10 @@
 import pickle
+from collections import Counter
+from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nextpage.config import EngineConfig
 from nextpage.errors import TraceFormatError, UnknownPageError, ValidationError
@@ -21,6 +25,7 @@ from nextpage.simulate import (
 from nextpage.sitegraph import ModificationLog, SiteGraph
 from nextpage.updates import ModificationEvent, SessionEvent, apply_event
 from oracles import eager_demotion_sweep, eager_modification_sweep
+from strategies import site_graphs
 
 
 def graph(pages, links, dominants, home=None):
@@ -276,6 +281,71 @@ class TestReplayDifferential:
         assert model_to_csv(model_a) == model_to_csv(model_b)
 
 
+@st.composite
+def replay_cases(draw):
+    """A site, a sweep config, a trace whose first tick is 0, 1 or the
+    period and whose gaps are a period, shorter or over two periods long,
+    and modifications on event ticks, in the gaps and past the last event."""
+    g = draw(site_graphs(min_pages=1, max_pages=6))
+    period = draw(st.integers(1, 7))
+    cfg = EngineConfig(
+        demote_threshold=draw(st.integers(1, 12)),
+        recency_window=draw(st.integers(1, 6)),
+        sweep_period=period,
+    )
+    levels = draw(st.none() | st.integers(1, 4))
+    first = draw(st.sampled_from([0, 1, period]))
+    gaps = draw(st.lists(st.just(period) | st.integers(1, 2 * period + 2), max_size=30))
+    ticks = list(accumulate([first, *gaps]))
+    trace = [
+        SessionEvent(draw(st.sampled_from(["s1", "s2", "s3"])), draw(st.sampled_from(g.pages)), t)
+        for t in ticks
+    ]
+    mod_ticks = st.sampled_from(ticks) | st.integers(0, ticks[-1] + 2 * period)
+    mods = draw(st.lists(st.tuples(st.sampled_from(g.pages), mod_ticks), max_size=8))
+    modlog = ModificationLog(tuple(sorted(mods, key=lambda m: m[1])))
+    return g, cfg, levels, trace, modlog, draw(st.integers(0, 3))
+
+
+class TestReplayAgainstEagerSweeps:
+    @given(replay_cases())
+    def test_one_sweep_call_per_tick_matches_the_eager_oracle(self, case):
+        """Replay's one `run_sweeps` call per tick, covering the ticks since
+        the last one, leaves the report and model that sweeping every period
+        multiple with the eager reference sweeps does."""
+        g, cfg, levels, trace, modlog, window = case
+        engine, oracle = (fresh_model(g, levels=levels) for _ in range(2))
+        report = replay(engine, trace, window, cfg, modlog)
+        expected = oracle_replay(oracle, trace, window, cfg, modlog)
+        assert (report.requests, report.hits) == (expected.requests, expected.hits)
+        assert report.per_session == expected.per_session
+        assert model_to_csv(engine) == model_to_csv(oracle)
+        assert engine.tick == oracle.tick
+
+
+class TestTracedLayers:
+    def test_replay_calls_predict_and_apply_event_through_the_module(self, monkeypatch):
+        """Replay looks `predict` and `apply_event` up in `nextpage.simulate`
+        on every call, once per request and once per request or
+        modification, so wrappers put there (as perfbench's traced layers
+        are) see every call."""
+        import nextpage.simulate as simulate_mod
+
+        calls = Counter()
+        for name in ("predict", "apply_event"):
+
+            def counted(*args, _fn=getattr(simulate_mod, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(simulate_mod, name, counted)
+        g = chain_graph()
+        trace = generate_trace(g, sessions=3, length=10, affinity=0.6, seed=2)
+        log = ModificationLog(entries=(("x2", 3), ("x3", 3), ("x1", 40)))
+        replay(fresh_model(g), trace, window=2, cfg=EngineConfig(sweep_period=4), modlog=log)
+        assert calls == Counter(predict=len(trace), apply_event=len(trace) + len(log.entries))
+
+
 class TestPickledModel:
     def test_pickled_model_replays_like_the_original(self):
         """A pickle round trip, taken mid-replay when the model holds a sweep
@@ -294,7 +364,8 @@ class TestPickledModel:
         replay(original, trace[:half], window=2, cfg=cfg, modlog=ModificationLog((("c", 2),)))
         apply_event(original, ModificationEvent("d", trace[half - 1].tick))
         assert original.schedule is not None and original.pending == {"d"}
-        assert any(r.ts <= original.cutoff and r.level > 1 for r in original.records.values())
+        cutoff = original.schedule.last - original.schedule.threshold
+        assert any(r.ts <= cutoff and r.level > 1 for r in original.records.values())
         copy = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
         reports = [report_to_csv(replay(m, trace[half:], window=2, cfg=cfg)) for m in (original, copy)]
         assert reports[0] == reports[1]
