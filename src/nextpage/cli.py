@@ -41,10 +41,18 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+# The config keys a subcommand may also take as flags.
+_CONFIG_FLAGS = {
+    "levels": dict(type=int, help="override the level count"),
+    "damping": dict(type=float, help="PageRank damping factor"),
+    "window": dict(type=int, help="prediction window size"),
+}
+
+
 def _config(args) -> EngineConfig:
     """The config file's values (defaults without one), with CLI flags on top."""
     cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
-    flags = {name: getattr(args, name, None) for name in ("levels", "damping", "window")}
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
@@ -53,12 +61,6 @@ def _build_from_graph(args, cfg: EngineConfig) -> Model:
     ranks = rank_pages(g, damping=cfg.damping)
     modlog = parse_modlog(_read(args.modlog)) if getattr(args, "modlog", None) else None
     return build_model(g, ranks, dm_log=modlog, levels=cfg.levels)
-
-
-def _load_model(args, cfg: EngineConfig) -> Model:
-    """Load `--model`.  A v2 dump carries its own ordinals and level cap, so
-    `damping` only matters for a v1 dump and `levels` must match a v2 cap."""
-    return model_from_csv(_read(args.model), damping=cfg.damping, levels=cfg.levels)
 
 
 def _cmd_build(args) -> int:
@@ -81,7 +83,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = _config(args)
-    model = _load_model(args, cfg)
+    model = model_from_csv(_read(args.model))
     prediction = predict(model, args.url, cfg.window)
     payload = {
         "source": prediction.source,
@@ -103,7 +105,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_replay(args) -> int:
     cfg = _config(args)
-    model = _load_model(args, cfg)
+    model = model_from_csv(_read(args.model))
     trace = parse_trace(_read(args.trace))
     modlog = parse_modlog(_read(args.modlog)) if args.modlog else None
     report = replay(
@@ -129,24 +131,21 @@ def _cmd_gen_trace(args) -> int:
 
 def _cmd_serve(args) -> int:
     cfg = _config(args)
-    model = _load_model(args, cfg)
+    model = model_from_csv(_read(args.model))
     serve(model, cfg, host=args.host, port=args.port, snapshot_path=args.snapshot_out)
     return EXIT_OK
 
 
 def _cmd_dump(args) -> int:
-    cfg = _config(args)
-    model = _load_model(args, cfg)
-    _write(args.out, model_to_csv(model))
+    _write(args.out, model_to_csv(model_from_csv(_read(args.model))))
     return EXIT_OK
 
 
-def _add_config_flags(p, window=False):
+def _add_config_flags(p, *names):
+    """`--config`, and a flag for each named config key that overrides it."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--levels", type=int, help="override the level count")
-    p.add_argument("--damping", type=float, help="PageRank damping factor")
-    if window:
-        p.add_argument("--window", type=int, help="prediction window size")
+    for name in names:
+        p.add_argument(f"--{name}", **_CONFIG_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--modlog", help="modification log file")
     p.add_argument("--out", help="model CSV path (default stdout)")
-    _add_config_flags(p)
+    _add_config_flags(p, "levels", "damping")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("rank", help="dump PageRank scores and ordinals as CSV")
@@ -168,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out")
-    _add_config_flags(p)
+    _add_config_flags(p, "damping")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("predict", help="predict the next requests for one URL")
     p.add_argument("--model", required=True)
     p.add_argument("--url", required=True)
     p.add_argument("--out")
-    _add_config_flags(p, window=True)
+    _add_config_flags(p, "window")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("replay", help="replay a trace and report hit percentage")
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-mode", choices=("session", "window"), default="session")
     p.add_argument("--out", help="report CSV path (default stdout)")
     p.add_argument("--dump-out", help="write the post-replay model CSV here")
-    _add_config_flags(p, window=True)
+    _add_config_flags(p, "window")
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic class-affine trace")
@@ -202,13 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8750)
     p.add_argument("--snapshot-out", help="write a final model CSV on shutdown")
-    _add_config_flags(p, window=True)
+    _add_config_flags(p, "window")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("dump", help="validate and re-emit a model CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_dump)
 
     return parser

@@ -9,7 +9,9 @@
     window=2
 
 All tick values are event counts; the three tick thresholds drive the online
-sweeps in updates.py.  Unknown or repeated keys are errors.
+sweeps in updates.py.  `levels` and `damping` shape a build (and `damping` a
+rank); a model dump stores its level cap and ordinals, so the commands that
+load one do not read them.  Unknown or repeated keys are errors.
 """
 
 from __future__ import annotations

@@ -23,14 +23,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ModelFormatError, ValidationError
-from .ranking import DEFAULT_DAMPING, RankAssignment, ordinal_ranks, pagerank
+# Nothing here calls `pagerank` or `ordinal_ranks`; they stay importable from
+# this module because perfbench's traced run wraps `model.pagerank` and
+# `model.ordinal_ranks` by attribute.
+from .ranking import RankAssignment, ordinal_ranks, pagerank  # noqa: F401
 from .sitegraph import ModificationLog, SiteGraph, _check_url
 
-# A v2 dump opens with the tag line `nextpage-model v2,levels=<L>`, then the
-# v2 header.  v1 dumps (MODEL_CSV_HEADER, no tag line) are still read.
+# A dump opens with the tag line `nextpage-model v2,levels=<L>`, then the
+# column header.
 MODEL_V2_TAG = "nextpage-model v2"
 MODEL_V2_HEADER = "key,url,lc,level,class,ts,dm,ordinal,dm_seen,links"
-MODEL_CSV_HEADER = "key,url,lc,level,class,ts,dm,links"
 _V2_TAG_LINE = f"{MODEL_V2_TAG},levels=<L>"
 
 
@@ -305,31 +307,45 @@ def model_to_csv(model: Model | ModelImage) -> str:
 
 
 def _parse_levels_line(line: str) -> int:
-    """The level cap from a v2 dump's first line."""
-    key, _, value = line.partition(",")[2].partition("=")
+    """The level cap from a dump's first line, `nextpage-model v2,levels=<L>`."""
+    tag, _, setting = line.partition(",")
+    key, _, value = setting.partition("=")
     try:
         cap = int(value)
     except ValueError:
         cap = 0
-    if key != "levels" or cap < 1:
+    if tag != MODEL_V2_TAG or key != "levels" or cap < 1:
         raise ModelFormatError(f"expected header {_V2_TAG_LINE!r}", line=1)
     return cap
 
 
-def _parse_rows(lines: list[str], first_lineno: int, width: int) -> list[tuple]:
-    """Split rows into (lineno, url, integer fields, links) and check what
-    both versions share: field count, integers, URL syntax, duplicate URLs
-    and link targets."""
-    rows = []
+def model_from_csv(text: str) -> Model:
+    """Rebuild a Model from its CSV dump.
+
+    The dump stores the level cap, each page's ordinal and its dm_seen, so
+    loading it is a parse and PageRank never runs.  Every row is checked:
+    field count, integers, URL syntax, duplicate URLs, value ranges and link
+    targets.  The clock resumes at the newest stored tick.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    cap = _parse_levels_line(lines[0] if lines else "")
+    if len(lines) < 2 or lines[1] != MODEL_V2_HEADER:
+        raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=2)
+    p = len(lines) - 2
+    if p == 0:
+        raise ModelFormatError("model dump has no rows")
+
+    records: dict[str, PageRecord] = {}
+    seen_ordinals: set[int] = set()
     # One string object per distinct URL, shared by its row and every link
     # to it, so the link lists hold no strings of their own.
     shared: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in enumerate(lines[2:], start=3):
         fields = line.split(",")
-        if len(fields) != width:
-            raise ModelFormatError(f"expected {width} comma-separated fields", lineno)
+        if len(fields) != 10:
+            raise ModelFormatError("expected 10 comma-separated fields", lineno)
         try:
-            numbers = list(map(int, fields[2:-1]))
+            lc, level, cls, ts, dm, ordinal, dm_seen = map(int, fields[2:-1])
         except ValueError:
             raise ModelFormatError("counter fields must be integers", lineno) from None
         url = shared.setdefault(fields[1], fields[1])
@@ -337,68 +353,8 @@ def _parse_rows(lines: list[str], first_lineno: int, width: int) -> list[tuple]:
             _check_url(url)
         except ValidationError as e:
             raise ModelFormatError(str(e), lineno) from None
-        targets = fields[-1].split(";") if fields[-1] else ()
-        rows.append((lineno, url, numbers, tuple(map(shared.setdefault, targets, targets))))
-
-    if not rows:
-        raise ModelFormatError("model dump has no rows")
-    urls = {url for _, url, _, _ in rows}
-    if len(urls) != len(rows):
-        raise ModelFormatError("duplicate URL in model dump")
-    for lineno, _, _, links in rows:
-        for t in links:
-            if t not in urls:
-                raise ModelFormatError(f"unknown page {t} in links", lineno)
-    return rows
-
-
-def model_from_csv(
-    text: str,
-    damping: float = DEFAULT_DAMPING,
-    levels: int | None = None,
-) -> Model:
-    """Rebuild a Model from its CSV dump, v2 or v1.
-
-    A v2 dump stores the level cap, each page's ordinal and its dm_seen, so
-    loading it is a parse: `damping` is ignored, PageRank never runs, and a
-    `levels` other than the stored cap is an error.  A v1 dump (header
-    key,url,lc,level,class,ts,dm,links) stores none of them: ordinals are
-    recomputed by PageRank at `damping` over the stored link lists, dm_seen
-    starts at 0, and the cap is `levels`, or max(ceil(sqrt(p)), highest
-    stored level) without it.  Either way the clock resumes at the newest
-    stored tick.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines and lines[0].partition(",")[0] == MODEL_V2_TAG:
-        cap = _parse_levels_line(lines[0])
-        if levels is not None and levels != cap:
-            raise ModelFormatError(f"levels {levels} differs from the stored cap {cap}", line=1)
-        if len(lines) < 2 or lines[1] != MODEL_V2_HEADER:
-            raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=2)
-        rows = _parse_rows(lines[2:], 3, 10)
-    else:
-        if not lines or lines[0] != MODEL_CSV_HEADER:
-            raise ModelFormatError(
-                f"expected header {_V2_TAG_LINE!r} or {MODEL_CSV_HEADER!r}", line=1
-            )
-        rows = _parse_rows(lines[1:], 2, 8)
-        urls = [url for _, url, _, _ in rows]
-        max_level = max(numbers[1] for _, _, numbers, _ in rows)
-        cap = levels if levels is not None else max(math.isqrt(len(urls) - 1) + 1, max_level)
-        # Same scoring path as the build, on the same link data.
-        graph_for_rank = SiteGraph(
-            pages=tuple(urls),
-            links={url: links for _, url, _, links in rows},
-            dominants=(urls[0],),  # dominants are irrelevant to scoring
-        )
-        ordinals = ordinal_ranks(pagerank(graph_for_rank, damping=damping))
-        for _, url, numbers, _ in rows:
-            numbers += (ordinals[url], 0)
-
-    p = len(rows)
-    records: dict[str, PageRecord] = {}
-    seen_ordinals: set[int] = set()
-    for lineno, url, (lc, level, cls, ts, dm, ordinal, dm_seen), links in rows:
+        if url in records:
+            raise ModelFormatError("duplicate URL in model dump", lineno)
         if not 1 <= level <= cap:
             raise ModelFormatError(f"level {level} outside [1, {cap}]", lineno)
         if not 0 <= lc <= cap - 1:
@@ -410,6 +366,13 @@ def model_from_csv(
         seen_ordinals.add(ordinal)
         if not 0 <= dm_seen <= dm:
             raise ModelFormatError(f"dm_seen {dm_seen} outside [0, {dm}]", lineno)
+        targets = fields[-1].split(";") if fields[-1] else ()
+        links = tuple(map(shared.setdefault, targets, targets))
         records[url] = PageRecord(url, lc, level, cls, ts, dm, links, ordinal, dm_seen)
+
+    for lineno, rec in enumerate(records.values(), start=3):
+        for t in rec.links:
+            if t not in records:
+                raise ModelFormatError(f"unknown page {t} in links", lineno)
     tick = max(max(r.ts, r.dm) for r in records.values())
     return Model(records=records, levels=cap, tick=tick)

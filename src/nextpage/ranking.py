@@ -46,7 +46,12 @@ def pagerank(
 
     residual = float("inf")
     for _ in range(max_iter):
-        dangling = sum(scores[i] for i in dangling_idx)
+        # Plain left-to-right additions, not sum(), whose float sum is
+        # compensated from Python 3.12 on: the scores stay bit-identical
+        # across versions.
+        dangling = 0.0
+        for i in dangling_idx:
+            dangling += scores[i]
         base = (1.0 - damping) / n + damping * dangling / n
         fresh = [base] * n
         for src, targets in enumerate(out):
@@ -54,7 +59,9 @@ def pagerank(
                 share = damping * scores[src] / len(targets)
                 for dst in targets:
                     fresh[dst] += share
-        residual = sum(abs(f - s) for f, s in zip(fresh, scores))
+        residual = 0.0
+        for f, s in zip(fresh, scores):
+            residual += abs(f - s)
         scores = fresh
         if residual <= tol:
             return dict(zip(order, scores))

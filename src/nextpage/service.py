@@ -68,6 +68,10 @@ class PredictionService:
             request = json.loads(line)
         except json.JSONDecodeError as e:
             return json.dumps({"error": f"bad JSON: {e.msg}"})
+        except (ValueError, RecursionError) as e:
+            # Nested deeper than the decoder recurses, or an integer literal
+            # longer than int() converts (4300 digits by default).
+            return json.dumps({"error": f"bad JSON: {e}"})
         reply = self.handle(request)
         return _OK_LINE if reply == _OK else json.dumps(reply)
 

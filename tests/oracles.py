@@ -59,7 +59,8 @@ def dict_pagerank(
 ):
     """URL-keyed power iteration doing the same float operations in the same
     order as `nextpage.ranking.pagerank`: sources in sorted-URL order, links in
-    file order, dangling mass and residual summed in sorted-URL order.  Each
+    file order, dangling mass and residual added left to right in sorted-URL
+    order (no `sum()`, which is compensated for floats from Python 3.12).  Each
     iteration's residual is appended to `residuals` when a list is given."""
     order = sorted(g.pages)
     n = len(order)
@@ -68,7 +69,10 @@ def dict_pagerank(
 
     residual = float("inf")
     for _ in range(max_iter):
-        dangling = sum(scores[u] for u in order if degree[u] == 0)
+        dangling = 0.0
+        for u in order:
+            if degree[u] == 0:
+                dangling += scores[u]
         base = (1.0 - damping) / n + damping * dangling / n
         fresh = {u: base for u in order}
         for src in order:
@@ -77,7 +81,9 @@ def dict_pagerank(
             share = damping * scores[src] / degree[src]
             for dst in g.links[src]:
                 fresh[dst] += share
-        residual = sum(abs(fresh[u] - scores[u]) for u in order)
+        residual = 0.0
+        for u in order:
+            residual += abs(fresh[u] - scores[u])
         if residuals is not None:
             residuals.append(residual)
         scores = fresh

@@ -184,6 +184,14 @@ class TestDump:
         bad.write_text("not,a,model\n")
         assert main(["dump", "--model", str(bad)]) == EXIT_INVALID
 
+    def test_rejects_the_former_format(self, tmp_path, capsys):
+        """A dump without the tag line (header key,url,lc,level,class,ts,dm,links)
+        is not read."""
+        old = tmp_path / "old.csv"
+        old.write_text("key,url,lc,level,class,ts,dm,links\nA1,H,0,1,1,0,0,\n")
+        assert main(["dump", "--model", str(old)]) == EXIT_INVALID
+        assert "line 1: expected header" in capsys.readouterr().err
+
 
 class TestConfigPlumbing:
     def test_config_file_sets_window(self, tmp_path, graph_file, model_file, capsys):
@@ -198,6 +206,22 @@ class TestConfigPlumbing:
         main(["predict", "--model", model_file, "--url", "H",
               "--config", str(cfg), "--window", "2"])
         assert len(json.loads(capsys.readouterr().out)["window"]) == 2
+
+    def test_load_commands_ignore_build_keys(self, tmp_path, graph_file, model_file):
+        """`levels` and `damping` shape a build; a replay of a dump, which
+        stores the level cap and the ordinals, does not read them."""
+        trace = tmp_path / "trace.csv"
+        main(["gen-trace", "--graph", graph_file, "--sessions", "3",
+              "--length", "10", "--seed", "5", "--out", str(trace)])
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("levels=2\ndamping=0.5\nwindow=1\n")
+        outputs = []
+        for tag, extra in (("plain", ["--window", "1"]), ("config", ["--config", str(cfg)])):
+            report, dump = tmp_path / f"report-{tag}.csv", tmp_path / f"dump-{tag}.csv"
+            assert main(["replay", "--model", model_file, "--trace", str(trace), *extra,
+                         "--out", str(report), "--dump-out", str(dump)]) == EXIT_OK
+            outputs.append((report.read_bytes(), dump.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bad_config_is_invalid(self, tmp_path, graph_file, capsys):
         cfg = tmp_path / "engine.cfg"
@@ -215,6 +239,27 @@ class TestExitCodes:
     def test_unknown_flag_is_usage(self, graph_file, capsys):
         assert main(["build", "--graph", graph_file, "--wat"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--model", "m.csv", *extra, flag, "2"]
+            for command, extra in [
+                ("predict", ["--url", "H"]),
+                ("replay", ["--trace", "t.csv"]),
+                ("serve", []),
+                ("dump", []),
+            ]
+            for flag in ("--levels", "--damping")
+        ]
+        + [["dump", "--model", "m.csv", "--config", "c.cfg"], ["rank", "--graph", "g.txt", "--levels", "2"]],
+        ids=lambda argv: " ".join(argv[i] for i in (0, -2)),
+    )
+    def test_flags_nothing_reads_are_usage(self, argv, capsys):
+        """A load command takes its level cap and ordinals from the dump, and
+        rank levels nothing, so none of them takes these flags."""
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_is_io(self, tmp_path, capsys):
         code = main(["build", "--graph", str(tmp_path / "absent.txt")])

@@ -164,6 +164,15 @@ class TestSnapshotsChangeNothing:
         assert final == without.snapshot_csv() == model_to_csv(oracle)
 
 
+# Lines that json.loads rejects with RecursionError and with ValueError (an
+# integer literal longer than Python converts, 4300 digits by default) rather
+# than JSONDecodeError.  Both fit under the line cap.
+HOSTILE_LINES = {
+    "deep nesting": "[" * 30000 + "]" * 30000,
+    "long integer": '{"kind": "predict", "url": "H", "window": ' + "9" * 5000 + "}",
+}
+
+
 class TestProtocol:
     def test_snapshot_matches_dump(self, service):
         response = service.handle({"kind": "snapshot"})
@@ -199,6 +208,12 @@ class TestProtocol:
         assert json.loads(service.handle_line('{"kind": "snapshot"}')).keys() == {
             "snapshot"
         }
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES.keys())
+    def test_hostile_line_gets_an_error_reply(self, service, line):
+        assert json.loads(service.handle_line(line))["error"].startswith("bad JSON")
+        ask = '{"kind": "predict", "url": "H", "window": 1}'
+        assert json.loads(service.handle_line(ask)) == {"window": ["S"]}
 
 
 SCRIPT = [
@@ -412,6 +427,19 @@ class TestPipelining:
                 replies = read_to_eof(conn).split(b"\n")
         assert [json.loads(r) for r in replies[:-1]] == [{"window": ["S"]}, {"window": ["S", "M"]}]
         assert replies[-1] == b""
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES.keys())
+    def test_hostile_line_inside_a_batch(self, service, capsys, line):
+        """A hostile line gets an error reply, the request pipelined after it
+        gets its own, and the server prints nothing."""
+        with serving(service) as address:
+            with socket.create_connection(address, timeout=10) as conn:
+                conn.sendall(line.encode() + b'\n{"kind": "predict", "url": "H", "window": 1}\n')
+                conn.shutdown(socket.SHUT_WR)
+                replies = read_to_eof(conn).split(b"\n")
+        assert json.loads(replies[0])["error"].startswith("bad JSON")
+        assert replies[1:] == [b'{"window": ["S"]}', b""]
+        assert capsys.readouterr().err == ""
 
     def test_over_long_line_inside_a_batch(self, service, monkeypatch):
         monkeypatch.setattr("nextpage.service.MAX_LINE_BYTES", 48)

@@ -1,6 +1,9 @@
+import importlib.util
 import pickle
+import sys
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -344,6 +347,24 @@ class TestTracedLayers:
         log = ModificationLog(entries=(("x2", 3), ("x3", 3), ("x1", 40)))
         replay(fresh_model(g), trace, window=2, cfg=EngineConfig(sweep_period=4), modlog=log)
         assert calls == Counter(predict=len(trace), apply_event=len(trace) + len(log.entries))
+
+    def test_perfbench_targets_resolve(self, micro_site, monkeypatch):
+        """perfbench's traced run wraps every `(module, attr)` that its
+        `engine_targets()` names, and measures what the sweeps return with
+        `len`: each attribute must exist, and each sweep's value be sized."""
+        import nextpage.updates as updates_mod
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look it up
+        spec.loader.exec_module(run)
+        model, cfg = fresh_model(micro_site), EngineConfig()
+        for module, attr, span, measure in run.engine_targets():
+            fn = getattr(module, attr, None)
+            assert callable(fn), f"{module.__name__}.{attr} (span {span})"
+            if module is updates_mod:
+                assert measure(fn(model, cfg, cfg.sweep_period)) >= 0
 
 
 class TestPickledModel:

@@ -455,8 +455,8 @@ class TestSettleOnRead:
         assert drive(lazy, first[:split], cfg, LAZY) == drive(eager, first[:split], cfg, EAGER)
         dump = model_to_csv(lazy)
         assert dump == model_to_csv(eager)
-        lazy = model_from_csv(dump, levels=lazy.levels)
-        eager = model_from_csv(dump, levels=eager.levels)
+        lazy = model_from_csv(dump)
+        eager = model_from_csv(dump)
         # Like `replay` on a reloaded model, the rest starts its schedule at 0.
         tail = first[split:]
         assert drive(lazy, tail, cfg, LAZY) == drive(eager, tail, cfg, EAGER)
