@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .config import EngineConfig, load_config
 from .errors import ConvergenceError, EngineError
-from .model import Model, build_model, model_from_csv, model_to_csv
+from .model import build_model, model_from_csv, model_to_csv
 from .predictor import predict
 from .ranking import rank_pages
 from .service import serve
@@ -56,16 +56,12 @@ def _config(args) -> EngineConfig:
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
-def _build_from_graph(args, cfg: EngineConfig) -> Model:
-    g = parse_graph(_read(args.graph))
-    ranks = rank_pages(g, damping=cfg.damping)
-    modlog = parse_modlog(_read(args.modlog)) if getattr(args, "modlog", None) else None
-    return build_model(g, ranks, dm_log=modlog, levels=cfg.levels)
-
-
 def _cmd_build(args) -> int:
     cfg = _config(args)
-    model = _build_from_graph(args, cfg)
+    g = parse_graph(_read(args.graph))
+    ranks = rank_pages(g, damping=cfg.damping)
+    modlog = parse_modlog(_read(args.modlog)) if args.modlog else None
+    model = build_model(g, ranks, dm_log=modlog, levels=cfg.levels)
     _write(args.out, model_to_csv(model))
     return EXIT_OK
 
@@ -141,6 +137,13 @@ def _cmd_dump(args) -> int:
     return EXIT_OK
 
 
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} outside 0..65535")
+    return port
+
+
 def _add_config_flags(p, *names):
     """`--config`, and a flag for each named config key that overrides it."""
     p.add_argument("--config", help="key=value config file")
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve predict/observe/snapshot over TCP")
     p.add_argument("--model", required=True)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8750)
+    p.add_argument("--port", type=_port, default=8750)
     p.add_argument("--snapshot-out", help="write a final model CSV on shutdown")
     _add_config_flags(p, "window")
     p.set_defaults(func=_cmd_serve)

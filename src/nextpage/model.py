@@ -237,6 +237,9 @@ def build_model(
     """
     if set(ranks.ordinals) != set(g.pages):
         raise ValidationError("rank assignment does not cover the graph's pages")
+    # The rule `model_from_csv` applies, so that every build's dump reloads.
+    if set(ranks.ordinals.values()) != set(range(1, len(g.pages) + 1)):
+        raise ValidationError(f"ordinals are not a permutation of 1..{len(g.pages)}")
     latest_dm = dm_log.latest() if dm_log is not None else {}
     for url in latest_dm:
         if url not in g.links:

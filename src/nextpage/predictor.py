@@ -13,7 +13,7 @@ a `Candidate` is built from its key only when `Prediction.candidates` is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -48,17 +48,17 @@ def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
 _PRECEDENCE = itemgetter(0, 1, 2)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Prediction:
     """Ordered candidates for one request; `window` is a prefix of their URLs.
 
-    Equality, hash and repr are those of the record (source, candidates,
-    window).
+    Equal predictions have equal ranked keys, hence equal candidates.  The
+    hash leaves the key list out, since a list has none.
     """
 
     source: str
     window: tuple[str, ...]
-    _ranked: list[tuple[bool, int, int, str, int]]
+    _ranked: list[tuple[bool, int, int, str, int]] = field(hash=False)
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -67,22 +67,6 @@ class Prediction:
         return tuple(
             Candidate(url, LevelRank(level, ordinal), class_no, match)
             for match, level, ordinal, url, class_no in self._ranked
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # A key holds exactly the fields of its Candidate, so equal keys
-        # mean equal candidates.
-        return (self.source, self._ranked, self.window) == (other.source, other._ranked, other.window)
-
-    def __hash__(self):
-        return hash((self.source, self.candidates, self.window))
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}(source={self.source!r}, "
-            f"candidates={self.candidates!r}, window={self.window!r})"
         )
 
 

@@ -32,7 +32,7 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError("damping must be strictly between 0 and 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError("tol must be positive")
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")

@@ -89,6 +89,10 @@ class TestRank:
         code = main(["rank", "--graph", graph_file, "--max-iter", "1"])
         assert code == EXIT_NO_CONVERGENCE
 
+    def test_nan_tol_is_invalid(self, graph_file, capsys):
+        assert main(["rank", "--graph", graph_file, "--tol", "nan"]) == EXIT_INVALID
+        assert "tol must be positive" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_json_payload(self, model_file, capsys):
@@ -260,6 +264,11 @@ class TestExitCodes:
         rank levels nothing, so none of them takes these flags."""
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["99999", "-5"])
+    def test_port_out_of_range_is_usage(self, port, capsys):
+        assert main(["serve", "--model", "m.csv", "--port", port]) == EXIT_USAGE
+        assert "outside 0..65535" in capsys.readouterr().err
 
     def test_missing_file_is_io(self, tmp_path, capsys):
         code = main(["build", "--graph", str(tmp_path / "absent.txt")])

@@ -261,6 +261,36 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             build_model(micro_site, bad)
 
+    @pytest.mark.parametrize("ordinals", [{"a": 1, "b": 1}, {"a": 0, "b": 7}])
+    def test_ordinals_not_a_permutation_rejected(self, ordinals):
+        g = SiteGraph(pages=("a", "b"), links={"a": ("b",), "b": ()}, dominants=("a",))
+        ranks = RankAssignment(scores={"a": 0.5, "b": 0.5}, ordinals=ordinals)
+        with pytest.raises(ValidationError, match="not a permutation of 1..2"):
+            build_model(g, ranks)
+
+    @given(st.data())
+    def test_every_accepted_build_round_trips(self, data):
+        """Whatever ordinals, level count and modification log a build
+        accepts, its dump reloads to the same model."""
+        g = data.draw(site_graphs(min_pages=1, max_pages=6))
+        p = len(g.pages)
+        ordinals = data.draw(
+            st.permutations(range(1, p + 1))
+            | st.lists(st.integers(-1, p + 1), min_size=p, max_size=p)
+        )
+        ranks = RankAssignment({url: 0.0 for url in g.pages}, dict(zip(g.pages, ordinals)))
+        levels = data.draw(st.none() | st.integers(1, p + 2))
+        ticks = data.draw(st.none() | st.dictionaries(st.sampled_from(g.pages), st.integers(0, 9)))
+        log = None if ticks is None else ModificationLog(tuple(ticks.items()))
+        try:
+            model = build_model(g, ranks, dm_log=log, levels=levels)
+        except ValidationError:
+            return
+        dump = model_to_csv(model)
+        reloaded = model_from_csv(dump)
+        assert reloaded == model
+        assert model_to_csv(reloaded) == dump
+
     def test_rebuild_is_deterministic(self, micro_site):
         a = build_model(micro_site, rank_pages(micro_site))
         b = build_model(micro_site, rank_pages(micro_site))

@@ -3,7 +3,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import MICRO_ORDINALS, MICRO_SCORES
-from nextpage.errors import ConvergenceError
+from nextpage.errors import ConvergenceError, ValidationError
 from nextpage.ranking import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITER,
@@ -75,6 +75,11 @@ class TestPagerank:
         with pytest.raises(ConvergenceError) as exc:
             pagerank(micro_site, max_iter=2)
         assert "2" in str(exc.value)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_must_be_positive(self, micro_site, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            pagerank(micro_site, tol=tol)
 
     def test_defaults(self):
         assert DEFAULT_DAMPING == 0.85
