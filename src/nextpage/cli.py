@@ -2,7 +2,7 @@
 
 Subcommands: build, rank, predict, replay, gen-trace, serve, dump.
 Exit codes: 0 success, 2 bad flags, 3 unreadable/unwritable files,
-4 input validation failures, 5 ranking non-convergence.
+4 input validation failures (undecodable files too), 5 ranking non-convergence.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .config import EngineConfig, load_config
-from .errors import ConvergenceError, EngineError
+from .errors import ConvergenceError, EngineError, FormatError
 from .model import build_model, model_from_csv, model_to_csv
 from .predictor import predict
 from .ranking import rank_pages
@@ -30,7 +30,10 @@ EXIT_NO_CONVERGENCE = 5
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -75,4 +75,8 @@ def parse_config(text: str) -> EngineConfig:
 
 def load_config(path: str) -> EngineConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_config(text)

@@ -328,12 +328,16 @@ def model_from_csv(text: str) -> Model:
     The dump stores the level cap, each page's ordinal and its dm_seen, so
     loading it is a parse and PageRank never runs.  Every row is checked:
     field count, integers, URL syntax, duplicate URLs, value ranges and link
-    targets.  The clock resumes at the newest stored tick.
+    targets.  The text must end in a newline, so a dump cut short mid-row
+    is rejected rather than loaded with that row's links truncated.  The
+    clock resumes at the newest stored tick.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     cap = _parse_levels_line(lines[0] if lines else "")
     if len(lines) < 2 or lines[1] != MODEL_V2_HEADER:
         raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=2)
+    if not text.endswith("\n"):
+        raise ModelFormatError("model dump does not end in a newline: it was cut short")
     p = len(lines) - 2
     if p == 0:
         raise ModelFormatError("model dump has no rows")

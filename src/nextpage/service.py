@@ -237,8 +237,14 @@ def serve(
     """Run the service until SIGINT or SIGTERM; flush a final snapshot on the way out.
 
     Prints the bound address once ready, so `port=0` (pick a free port)
-    is usable from scripts.  Call it from the main thread: it takes SIGTERM.
+    is usable from scripts.  A snapshot path that cannot be written raises
+    OSError before the server binds.  Call it from the main thread: it takes
+    SIGTERM.
     """
+    if snapshot_path is not None:
+        # Fail now, not at shutdown after every observe has been acknowledged.
+        open(f"{snapshot_path}.tmp", "w").close()
+        os.remove(f"{snapshot_path}.tmp")
     service = PredictionService(model, cfg)
     server = PredictionServer((host, port), service)
     bound_host, bound_port = server.server_address[:2]

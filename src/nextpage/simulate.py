@@ -67,9 +67,9 @@ def replay(
     Prefetched pages stay cached for the whole session unless
     `window_only_cache` is set, in which case only the latest window counts.
     Modification log entries are interleaved by tick (modifications first on
-    equal ticks).  Sweeps follow `run_sweeps`: a sweep due at tick m runs
-    after all events carrying tick m, or before the next later event when no
-    event carries m.
+    equal ticks).  Sweeps follow `run_sweeps`, called only when a sweep is
+    due: a sweep due at tick m runs after all events carrying tick m, or
+    before the next later event when no event carries m.
     """
     if window < 0:
         raise ValidationError("window must be non-negative")
@@ -95,14 +95,12 @@ def replay(
     stats: dict[str, SessionStats] = {}
     requests = 0
     hits = 0
-    done = 0  # the sweeps due at ticks up to here have run
-    current = None
+    due = 0  # every sweep before this tick has run
 
     for tick, kind, _, event in timeline:
-        if tick != current:
-            # the sweeps due since the last tick, that tick's own included
-            run_sweeps(model, cfg, done, tick - 1)
-            done, current = tick - 1, tick
+        if tick > due:
+            # the sweeps at ticks due .. tick - 1, each after its tick's events
+            due = run_sweeps(model, cfg, due - 1, tick - 1)
         if kind == 0:
             apply_event(model, event)
             continue
@@ -125,7 +123,7 @@ def replay(
             cache.update(prediction.window)
 
     if timeline:
-        run_sweeps(model, cfg, done, current)
+        run_sweeps(model, cfg, due - 1, timeline[-1][0])
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 
 

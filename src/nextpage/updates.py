@@ -24,7 +24,8 @@ event and only then advances the clock, so an event for an unknown page is
 rejected without touching the model.  `run_sweeps` is the one sweep
 schedule: both sweeps, demotion first, at every positive multiple of
 `sweep_period`.  Replay and the service both call it, so the same event
-stream leaves the same model on either path.
+stream leaves the same model on either path; it returns the tick of the
+next sweep due, so replay calls it only once a tick passes that one.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def record_access(model: Model, url: str, now: int) -> bool:
     rec = model.records.get(url)
     if rec is None:
         raise UnknownPageError(url)
-    _rewind(model, now)
     s = model.schedule
-    if s is not None and rec.level > 1 and rec.ts <= s.last - s.threshold:
-        _settle(s, rec)
+    if s is not None:
+        if now + s.threshold <= s.last:
+            _rewind(model, now)
+        elif rec.level > 1 and rec.ts <= s.last - s.threshold:
+            _settle(s, rec)
     if rec.level >= model.levels:
         rec.ts = now
         return False
@@ -168,12 +171,15 @@ def apply_event(model: Model, event: SessionEvent | ModificationEvent) -> None:
         record_modification(model, event.url, event.tick)
     else:
         raise TypeError(f"unsupported event {event!r}")
-    model.tick = max(model.tick, event.tick)
+    if event.tick > model.tick:
+        model.tick = event.tick
 
 
-def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None:
+def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> int:
     """Run both sweeps, demotion first, at each positive multiple of
     `sweep_period` in the tick interval (after, upto], advancing the clock.
+    Returns the first positive multiple above `upto`: the tick of the next
+    sweep due, so a caller may skip the calls before a later tick reaches it.
 
     Stateless: the caller says which ticks have passed since its last call,
     so the schedule lives here and nowhere else.
@@ -183,3 +189,4 @@ def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None:
         model.tick = max(model.tick, now)
         demotion_sweep(model, cfg, now)
         modification_sweep(model, cfg, now)
+    return (max(upto, 0) // period + 1) * period

@@ -8,9 +8,11 @@ exceptions are `dict_pagerank`, the engine's earlier URL-keyed PageRank loop,
 kept as the reference for the exact floating-point results of the index-based
 one; `eager_demotion_sweep` / `eager_modification_sweep`, the engine's
 earlier sweeps over every page, kept as the reference for the demotions the
-engine now settles when a record is read; and `reference_predict`, the
+engine now settles when a record is read; `reference_predict`, the
 engine's earlier predict that built every `Candidate` and sorted those, kept
-as the reference for the one that ranks plain key tuples.
+as the reference for the one that ranks plain key tuples; and
+`rewind_then_settle_access`, the engine's earlier `record_access`, kept as
+the reference for the one that tests for a backward clock in line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from nextpage.config import EngineConfig
 from nextpage.errors import ConvergenceError, UnknownPageError, ValidationError
-from nextpage.model import Model
+from nextpage.model import Model, _settle
 from nextpage.predictor import Candidate, LevelRank
 from nextpage.sitegraph import SiteGraph
 
@@ -209,6 +211,34 @@ def eager_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> None
             model.tick = max(model.tick, now)
             eager_demotion_sweep(model, cfg, now)
             eager_modification_sweep(model, cfg, now)
+
+
+def rewind_then_settle_access(model: Model, url: str, now: int) -> bool:
+    """`record_access` as two steps, both taken on every access: first end
+    the schedule (settling every page) if it holds a sweep at or after
+    now + threshold, then settle the record against whatever schedule is
+    left; then count the access."""
+    rec = model.records.get(url)
+    if rec is None:
+        raise UnknownPageError(url)
+    s = model.schedule
+    if s is not None and now + s.threshold <= s.last:
+        model.settle_all()
+        model.schedule = None
+    s = model.schedule
+    if s is not None and rec.level > 1 and rec.ts <= s.last - s.threshold:
+        _settle(s, rec)
+    if rec.level >= model.levels:
+        rec.ts = now
+        return False
+    if rec.lc < model.levels - 1:
+        rec.lc += 1
+        rec.ts = now
+        return False
+    rec.level += 1
+    rec.lc = 0
+    rec.ts = now
+    return True
 
 
 @dataclass(frozen=True)

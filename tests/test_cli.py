@@ -275,6 +275,42 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "nextpage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("build", "--graph"), ("build", "--modlog"), ("build", "--config"),
+            ("rank", "--graph"), ("rank", "--config"),
+            ("predict", "--model"), ("predict", "--config"),
+            ("replay", "--model"), ("replay", "--trace"), ("replay", "--modlog"),
+            ("replay", "--config"),
+            ("gen-trace", "--graph"),
+            ("serve", "--model"), ("serve", "--config"),
+            ("dump", "--model"),
+        ],
+    )
+    def test_undecodable_file_is_invalid(self, tmp_path, graph_file, model_file, command, flag, capsys):
+        """A file that is not UTF-8 text gets a message and exit 4, from
+        every file argument of every subcommand, with no traceback."""
+        trace, modlog, config = tmp_path / "trace.csv", tmp_path / "mods.txt", tmp_path / "engine.cfg"
+        trace.write_text("1,s1,H\n2,s1,S\n")
+        modlog.write_text("1 c\n")
+        config.write_text("window=1\n")
+        files = {"--graph": graph_file, "--model": model_file, "--trace": str(trace),
+                 "--modlog": str(modlog), "--config": str(config)}
+        required = {"build": ["--graph"], "rank": ["--graph"], "predict": ["--model"],
+                    "replay": ["--model", "--trace"], "gen-trace": ["--graph"],
+                    "serve": ["--model"], "dump": ["--model"]}[command]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe bad\n")
+        argv = [command]
+        for name in dict.fromkeys(required + [flag]):
+            argv += [name, str(bad) if name == flag else files[name]]
+        argv += {"predict": ["--url", "H"], "serve": ["--port", "0"]}.get(command, [])
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"nextpage: {bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_malformed_graph_is_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("a -> zzz\n@dominant a\n")
@@ -347,6 +383,23 @@ class TestServeSubprocess:
         assert model_to_csv(model_from_csv(snapshot)) == snapshot
         assert snapshot == expected
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_unwritable_snapshot_path_is_io_before_listening(self, tmp_path, model_file):
+        """A final snapshot that could not be written would lose every
+        acknowledged observe, so the server refuses to start instead."""
+        snap = tmp_path / "no" / "such" / "dir" / "snap.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nextpage", "serve", "--model", model_file,
+             "--port", "0", "--snapshot-out", str(snap)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=30,
+        )
+        assert proc.returncode == EXIT_IO
+        assert "listening on" not in proc.stdout
+        assert proc.stderr.startswith("nextpage: ")
+        assert not snap.parent.exists()
 
     def test_pipelined_demo_trace_then_sigterm(self, tmp_path):
         """The demo trace's observe/predict stream, sent in one go, is

@@ -1,7 +1,8 @@
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -395,6 +396,22 @@ class TestModelCsv:
         with pytest.raises(ModelFormatError) as exc:
             model_from_csv(text)
         assert fragment in str(exc.value)
+
+
+GOLDEN_DUMP = (Path(__file__).resolve().parent / "golden" / "demo_model_post_replay.csv").read_text()
+# The last row cut after `/s8/p10`: read up to there, /s8/p9 would keep one
+# of its three out-links.
+CUT_IN_LAST_ROW = GOLDEN_DUMP.rindex("/s8/p10") + len("/s8/p10")
+
+
+class TestTruncatedDump:
+    @example(CUT_IN_LAST_ROW)
+    @given(st.integers(0, len(GOLDEN_DUMP) - 1))
+    def test_every_prefix_ending_mid_row_is_rejected(self, end):
+        prefix = GOLDEN_DUMP[:end]
+        assume(not prefix.endswith("\n"))
+        with pytest.raises(ModelFormatError):
+            model_from_csv(prefix)
 
 
 class TestModelCsvV2:

@@ -313,9 +313,10 @@ def replay_cases(draw):
 class TestReplayAgainstEagerSweeps:
     @given(replay_cases())
     def test_one_sweep_call_per_tick_matches_the_eager_oracle(self, case):
-        """Replay's one `run_sweeps` call per tick, covering the ticks since
-        the last one, leaves the report and model that sweeping every period
-        multiple with the eager reference sweeps does."""
+        """Replay's `run_sweeps` calls, made only when a sweep is due and
+        covering the ticks since the last one, leave the report and model
+        that sweeping every period multiple with the eager reference sweeps
+        does."""
         g, cfg, levels, trace, modlog, window = case
         engine, oracle = (fresh_model(g, levels=levels) for _ in range(2))
         report = replay(engine, trace, window, cfg, modlog)

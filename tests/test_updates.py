@@ -1,4 +1,7 @@
+from copy import deepcopy
 from dataclasses import replace
+from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,10 @@ from nextpage.config import (
     EngineConfig,
 )
 from nextpage.errors import ConfigError, UnknownPageError
-from nextpage.model import build_model, model_from_csv, model_to_csv
+from nextpage.model import Schedule, build_model, model_from_csv, model_to_csv
 from nextpage.predictor import predict
 from nextpage.ranking import rank_pages
+from nextpage.sitegraph import SiteGraph
 from nextpage.updates import (
     ModificationEvent,
     SessionEvent,
@@ -24,8 +28,13 @@ from nextpage.updates import (
     record_modification,
     run_sweeps,
 )
-from conftest import settled_state
-from oracles import eager_demotion_sweep, eager_modification_sweep, eager_sweeps
+from conftest import MICRO_LINKS, MICRO_PAGES, settled_state
+from oracles import (
+    eager_demotion_sweep,
+    eager_modification_sweep,
+    eager_sweeps,
+    rewind_then_settle_access,
+)
 from strategies import site_graphs
 
 
@@ -33,6 +42,12 @@ from strategies import site_graphs
 def model(micro_site):
     # six pages, so three levels and a three-access promotion cadence
     return build_model(micro_site, rank_pages(micro_site))
+
+
+def micro_model():
+    """The `model` fixture's model, for tests that draw many examples."""
+    g = SiteGraph(pages=MICRO_PAGES, links=dict(MICRO_LINKS), dominants=("S", "M"), home="H")
+    return build_model(g, rank_pages(g))
 
 
 CFG = EngineConfig(demote_threshold=10, recency_window=5, sweep_period=4)
@@ -92,6 +107,39 @@ class TestRecordAccess:
         for t in range(1, 8):
             assert record_access(flat, "H", t) is False
         assert flat.records["H"].level == 1
+
+
+@st.composite
+def access_cases(draw):
+    """The micro model with drawn (level, lc, ts) records, a drawn schedule
+    or none, and one access at a tick within 3 of where now + threshold
+    meets the schedule's last sweep."""
+    model = micro_model()
+    period = draw(st.integers(1, 7))
+    threshold = draw(st.integers(1, 20))
+    first = period * draw(st.integers(1, 6))
+    last = first + period * draw(st.integers(0, 6))
+    for rec in model.records.values():
+        rec.level = draw(st.integers(1, model.levels))
+        rec.lc = 0 if rec.level == model.levels else draw(st.integers(0, model.levels - 1))
+        rec.ts = draw(st.integers(0, last + 5))
+    if draw(st.booleans()):
+        model.schedule = Schedule(first, last, threshold, period)
+    now = last - threshold + draw(st.integers(-3, 3))
+    return model, draw(st.sampled_from(MICRO_PAGES)), now
+
+
+class TestRecordAccessAgainstRewindThenSettle:
+    @settings(max_examples=300)
+    @given(access_cases())
+    def test_matches_the_two_step_reference(self, case):
+        """Testing for a backward clock in line, and settling only
+        otherwise, leaves the records, schedule and reply that rewinding
+        then settling on every access does."""
+        model, url, now = case
+        reference = deepcopy(model)
+        assert record_access(model, url, now) == rewind_then_settle_access(reference, url, now)
+        assert model == reference
 
 
 class TestRecordModification:
@@ -275,6 +323,30 @@ class TestRunSweeps:
         run_sweeps(model, CFG, after, upto)
         assert sweep_log == []
         assert model.tick == 0
+
+    @given(
+        period=st.integers(1, 7),
+        after=st.integers(-3, 30),
+        upto=st.integers(-3, 30),
+        data=st.data(),
+    )
+    def test_returns_the_next_sweep_due(self, period, after, upto, data):
+        """The return value is the first positive multiple of the period
+        above `upto`; a call that stops short of it sweeps nothing and
+        leaves the model as it was."""
+        import nextpage.updates as updates
+
+        cfg = replace(CFG, sweep_period=period)
+        model = micro_model()
+        due = run_sweeps(model, cfg, after, upto)
+        assert due == next(m for m in count(period, period) if m > upto)
+        later = data.draw(st.integers(upto, due - 1))
+        before = deepcopy(model)
+        with mock.patch.object(updates, "demotion_sweep") as demote, \
+                mock.patch.object(updates, "modification_sweep") as promote:
+            assert run_sweeps(model, cfg, upto, later) == due
+        assert demote.call_count == promote.call_count == 0
+        assert model == before
 
     def test_advances_the_clock_to_each_sweep(self, model):
         run_sweeps(model, CFG, 0, 10)
