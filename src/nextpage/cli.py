@@ -17,7 +17,7 @@ from .errors import ConvergenceError, EngineError, FormatError
 from .model import build_model, model_from_csv, model_to_csv
 from .predictor import predict
 from .ranking import rank_pages
-from .service import serve
+from .service import serve, write_atomic
 from .simulate import generate_trace, parse_trace, replay, report_to_csv, trace_to_csv
 from .sitegraph import parse_graph, parse_modlog
 
@@ -37,11 +37,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
+    """To stdout, or to replace the file at `path` atomically."""
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(path, text)
 
 
 # The config keys a subcommand may also take as flags.

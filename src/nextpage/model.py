@@ -174,25 +174,28 @@ def resolve_common_pages(
 ) -> dict[str, int]:
     """Reassign each common page to the class with the most links pointing to it.
 
-    One pass over the edges counts each common page's in-links by source
-    class, every occurrence of a duplicated link included; sources in class 0
-    are not counted and ties go to the smaller class number.  A common page
-    with no countable in-links keeps its provisional class.  All counts use
-    the provisional map, so the outcome does not depend on the order of
-    `common`.
+    One tally over the edges counts each (common page, source class) pair,
+    every occurrence of a duplicated link included; sources in class 0 are
+    not counted and ties go to the smaller class number.  A common page with
+    no countable in-links keeps its provisional class.  All counts use the
+    provisional map, so the outcome does not depend on the order of `common`.
     """
-    counts: dict[str, Counter[int]] = {page: Counter() for page in common}
-    for src in g.pages:
-        src_class = classes[src]
-        if src_class == 0:
-            continue
-        for target in g.links[src]:
-            if target in counts:
-                counts[target][src_class] += 1
+    common_set = set(common)
+    tally = Counter(
+        (target, src_class)
+        for src in g.pages
+        if (src_class := classes[src])
+        for target in g.links[src]
+        if target in common_set
+    )
     resolved = dict(classes)
-    for page, by_class in counts.items():
-        if by_class:
-            resolved[page] = min(by_class, key=lambda c: (-by_class[c], c))
+    most: dict[str, int] = {}
+    for (page, cls), n in tally.items():
+        # the first class counted for a page, then any with more in-links,
+        # or as many and a smaller number
+        if n > most.get(page, 0) or (n == most[page] and cls < resolved[page]):
+            most[page] = n
+            resolved[page] = cls
     return resolved
 
 

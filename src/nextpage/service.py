@@ -21,6 +21,7 @@ same model behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -216,15 +217,32 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             self._serving.discard(request)
 
 
-def _write_snapshot(path: str, text: str) -> None:
-    """Write beside `path`, then rename over it, so a crash mid-write leaves
-    the previous snapshot whole."""
+def write_atomic(path: str, text: str) -> None:
+    """Write beside `path`, fsync, rename over it, then fsync the directory,
+    so a crash or an error mid-write leaves the previous file whole.  A path
+    that exists but is no regular file (a device or a pipe) cannot be renamed
+    over, and is written in place; a symlink's target is the file replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    path = os.path.realpath(path)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def serve(
@@ -239,23 +257,27 @@ def serve(
     Prints the bound address once ready, so `port=0` (pick a free port)
     is usable from scripts.  A snapshot path that cannot be written raises
     OSError before the server binds.  Call it from the main thread: it takes
-    SIGTERM.
+    SIGINT and SIGTERM.
     """
     if snapshot_path is not None:
         # Fail now, not at shutdown after every observe has been acknowledged.
-        open(f"{snapshot_path}.tmp", "w").close()
-        os.remove(f"{snapshot_path}.tmp")
+        tmp = f"{os.path.realpath(snapshot_path)}.tmp"
+        open(tmp, "w").close()
+        os.remove(tmp)
     service = PredictionService(model, cfg)
     server = PredictionServer((host, port), service)
     bound_host, bound_port = server.server_address[:2]
-    previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # Either stops the server, even when SIGINT was inherited ignored.
+    stop_signals = (signal.SIGINT, signal.SIGTERM)
+    previous = {sig: signal.signal(sig, signal.default_int_handler) for sig in stop_signals}
     try:
         print(f"listening on {bound_host}:{bound_port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         server.server_close()
         if snapshot_path is not None:
-            _write_snapshot(snapshot_path, service.snapshot_csv())
+            write_atomic(snapshot_path, service.snapshot_csv())

@@ -141,7 +141,9 @@ def generate_trace(
     Each step follows an out-link of the current page: with probability
     `affinity` uniformly among same-class out-links (all out-links when the
     page has none), otherwise uniformly among all out-links.  Dead ends
-    restart the session at its start page.
+    restart the session at its start page.  A page's moves (its out-links and
+    its same-class out-links, none in class 0) are worked out once, on its
+    first visit.
     """
     if sessions < 1 or length < 1:
         raise ValidationError("sessions and length must be at least 1")
@@ -149,34 +151,33 @@ def generate_trace(
         raise ValidationError("affinity must be within [0, 1]")
 
     rng = random.Random(seed)
+    random_, choice = rng.random, rng.choice
     provisional, common = assign_classes(g)
     classes = resolve_common_pages(g, provisional, common)
 
-    starts = [g.home if g.home is not None else rng.choice(g.pages) for _ in range(sessions)]
+    starts = [g.home if g.home is not None else choice(g.pages) for _ in range(sessions)]
+    ids = [f"s{s + 1}" for s in range(sessions)]
+    events = [SessionEvent(ids[s], starts[s], s + 1) for s in range(sessions)]
+    # Per page, filled on its first visit: (out-links, same-class out-links).
+    moves: dict[str, tuple[tuple[str, ...], list[str]]] = {}
     current = list(starts)
-    events: list[SessionEvent] = []
-    tick = 0
-    for step in range(length):
-        for s in range(sessions):
-            if step == 0:
+    tick = sessions
+    for _ in range(length - 1):
+        for s, sid in enumerate(ids):
+            here = current[s]
+            move = moves.get(here)
+            if move is None:
+                outs, cls = g.links[here], classes[here]
+                move = moves[here] = (outs, [t for t in outs if classes[t] == cls] if cls else [])
+            outs, same_class = move
+            if not outs:
                 url = starts[s]
+            elif random_() < affinity and same_class:
+                url = choice(same_class)
             else:
-                here = current[s]
-                outs = g.links[here]
-                if not outs:
-                    url = starts[s]
-                else:
-                    same_class = (
-                        [t for t in outs if classes[t] == classes[here]]
-                        if classes[here] != 0
-                        else []
-                    )
-                    if rng.random() < affinity and same_class:
-                        url = rng.choice(same_class)
-                    else:
-                        url = rng.choice(outs)
+                url = choice(outs)
             tick += 1
-            events.append(SessionEvent(session_id=f"s{s + 1}", url=url, tick=tick))
+            events.append(SessionEvent(sid, url, tick))
             current[s] = url
     return events
 
@@ -207,7 +208,7 @@ def parse_trace(text: str) -> list[SessionEvent]:
         if last_tick is not None and tick <= last_tick:
             raise TraceFormatError("ticks must be strictly increasing", lineno)
         last_tick = tick
-        events.append(SessionEvent(session_id=fields[1], url=fields[2], tick=tick))
+        events.append(SessionEvent(fields[1], fields[2], tick))
     return events
 
 

@@ -10,9 +10,13 @@ one; `eager_demotion_sweep` / `eager_modification_sweep`, the engine's
 earlier sweeps over every page, kept as the reference for the demotions the
 engine now settles when a record is read; `reference_predict`, the
 engine's earlier predict that built every `Candidate` and sorted those, kept
-as the reference for the one that ranks plain key tuples; and
+as the reference for the one that ranks plain key tuples;
 `rewind_then_settle_access`, the engine's earlier `record_access`, kept as
-the reference for the one that tests for a backward clock in line.
+the reference for the one that tests for a backward clock in line; and
+`oracle_generate_trace`, the engine's earlier trace generator that worked out
+a page's same-class out-links on every visit, kept as the reference for the
+exact trace (and so the exact random draws) of the one that works them out
+once per page.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 
 from nextpage.config import EngineConfig
 from nextpage.errors import ConvergenceError, UnknownPageError, ValidationError
-from nextpage.model import Model, _settle
+from nextpage.model import Model, _settle, assign_classes
 from nextpage.predictor import Candidate, LevelRank
 from nextpage.sitegraph import SiteGraph
+from nextpage.updates import SessionEvent
 
 
 def dense_pagerank(g: SiteGraph, damping: float = 0.85, iters: int = 5000, tol: float = 1e-15):
@@ -278,3 +283,47 @@ def reference_predict(model: Model, url: str, window: int) -> Prediction:
         candidates=ordered,
         window=tuple(c.url for c in ordered[:window]),
     )
+
+
+def oracle_generate_trace(
+    g: SiteGraph, sessions: int, length: int, affinity: float, seed: int
+) -> list[SessionEvent]:
+    """Round-robin class-affine sessions, recomputing each page's same-class
+    out-links at every step; common pages are resolved by the brute-force
+    `resolve_by_inlink_majority`."""
+    if sessions < 1 or length < 1:
+        raise ValidationError("sessions and length must be at least 1")
+    if not 0.0 <= affinity <= 1.0:
+        raise ValidationError("affinity must be within [0, 1]")
+
+    rng = random.Random(seed)
+    provisional, common = assign_classes(g)
+    classes = resolve_by_inlink_majority(g, provisional, common)
+
+    starts = [g.home if g.home is not None else rng.choice(g.pages) for _ in range(sessions)]
+    current = list(starts)
+    events: list[SessionEvent] = []
+    tick = 0
+    for step in range(length):
+        for s in range(sessions):
+            if step == 0:
+                url = starts[s]
+            else:
+                here = current[s]
+                outs = g.links[here]
+                if not outs:
+                    url = starts[s]
+                else:
+                    same_class = (
+                        [t for t in outs if classes[t] == classes[here]]
+                        if classes[here] != 0
+                        else []
+                    )
+                    if rng.random() < affinity and same_class:
+                        url = rng.choice(same_class)
+                    else:
+                        url = rng.choice(outs)
+            tick += 1
+            events.append(SessionEvent(session_id=f"s{s + 1}", url=url, tick=tick))
+            current[s] = url
+    return events

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nextpage
+import nextpage.service as service_module
 from conftest import MICRO_GRAPH_TEXT
 from nextpage.cli import (
     EXIT_INVALID,
@@ -197,6 +199,58 @@ class TestDump:
         assert "line 1: expected header" in capsys.readouterr().err
 
 
+class TestAtomicOutput:
+    @pytest.fixture
+    def disk_full_mid_write(self, monkeypatch):
+        """Every file the writer opens to write takes half of the first text
+        written to it, then fails as a full disk would."""
+        def open_(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            if "w" in mode:
+                def write(text):
+                    type(fh).write(fh, text[: len(text) // 2])
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device", path)
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(service_module, "open", open_, raising=False)
+
+    @pytest.mark.parametrize("command", ["build", "dump"])
+    def test_failed_write_leaves_the_previous_file_whole(
+        self, tmp_path, graph_file, model_file, command, disk_full_mid_write, capsys
+    ):
+        out = tmp_path / "out.csv"
+        out.write_text("the previous file\n")
+        source = ["--graph", graph_file] if command == "build" else ["--model", model_file]
+        assert main([command, *source, "--out", str(out)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "the previous file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.csv", "out.csv", "site.txt"]
+
+    def test_replaces_the_previous_file(self, tmp_path, model_file):
+        out = tmp_path / "out.csv"
+        out.write_text("the previous file\n")
+        assert main(["dump", "--model", model_file, "--out", str(out)]) == EXIT_OK
+        with open(model_file) as fh:
+            assert out.read_text() == fh.read()
+        assert not (tmp_path / "out.csv.tmp").exists()
+
+    def test_a_symlink_keeps_pointing_at_the_replaced_file(self, tmp_path, model_file):
+        target = tmp_path / "target.csv"
+        target.write_text("the previous file\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["dump", "--model", model_file, "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        with open(model_file) as fh:
+            assert target.read_text() == fh.read()
+
+    def test_a_device_is_written_in_place(self, model_file):
+        assert main(["dump", "--model", model_file, "--out", os.devnull]) == EXIT_OK
+        assert not os.path.isfile(os.devnull)
+
+
 class TestConfigPlumbing:
     def test_config_file_sets_window(self, tmp_path, graph_file, model_file, capsys):
         cfg = tmp_path / "engine.cfg"
@@ -337,36 +391,66 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+# Runs `python -m nextpage ARGS...` with SIGINT ignored, as a shell's
+# background job starts it; an ignored disposition survives the exec.
+_SIGINT_IGNORED = (
+    "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "os.execv(sys.executable, [sys.executable, '-m', 'nextpage', *sys.argv[1:]])"
+)
+
+
+def _serve(model_file, snap, talk, stop, ignore_sigint=False, timeout=60):
+    """Run `nextpage serve` on `model_file` with `--snapshot-out snap`, call
+    `talk(host, port)` once it listens, then send it `stop` and return its
+    exit code and what `talk` returned.  The child is killed when `timeout`
+    seconds pass, or when it outlives a failure, so a stuck server fails the
+    test instead of hanging the suite."""
+    launch = ["-c", _SIGINT_IGNORED] if ignore_sigint else ["-m", "nextpage"]
+    proc = subprocess.Popen(
+        [sys.executable, *launch, "serve", "--model", str(model_file),
+         "--port", "0", "--snapshot-out", str(snap)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+    )
+    watchdog = threading.Timer(timeout, proc.kill)
+    watchdog.start()
+    try:
+        ready = proc.stdout.readline().strip()
+        assert ready.startswith("listening on "), ready
+        host, port = ready.removeprefix("listening on ").rsplit(":", 1)
+        result = talk(host, int(port))
+        proc.send_signal(stop)
+        return proc.wait(timeout=15), result
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 class TestServeSubprocess:
     def observe(self, fh, url):
         fh.write(json.dumps({"kind": "observe", "url": url, "session": "s1"}).encode() + b"\n")
         fh.flush()
         return json.loads(fh.readline())
 
-    def run_two_observes_then(self, sig, tmp_path, model_file):
+    def run_two_observes_then(self, sig, tmp_path, model_file, ignore_sigint=False):
         """Serve, observe H then S, stop the server with `sig`; return the
         final snapshot and the in-process service's dump after the same
         observes."""
+        def talk(host, port):
+            with socket.create_connection((host, port), timeout=10) as conn:
+                fh = conn.makefile("rwb")
+                assert self.observe(fh, "H") == {"ok": True}
+                assert self.observe(fh, "S") == {"ok": True}
+
         snap = tmp_path / "snap.csv"
-        with subprocess.Popen(
-            [sys.executable, "-m", "nextpage", "serve", "--model", model_file,
-             "--port", "0", "--snapshot-out", str(snap)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_child_env(),
-        ) as proc:
-            try:
-                ready = proc.stdout.readline().strip()
-                assert ready.startswith("listening on ")
-                host, port = ready.removeprefix("listening on ").rsplit(":", 1)
-                with socket.create_connection((host, int(port)), timeout=10) as conn:
-                    fh = conn.makefile("rwb")
-                    assert self.observe(fh, "H") == {"ok": True}
-                    assert self.observe(fh, "S") == {"ok": True}
-            finally:
-                proc.send_signal(sig)
-                assert proc.wait(timeout=15) == 0
+        code, _ = _serve(model_file, snap, talk, sig, ignore_sigint=ignore_sigint)
+        assert code == 0
 
         with open(model_file) as fh:
             expected_service = PredictionService(model_from_csv(fh.read()), EngineConfig())
@@ -376,6 +460,12 @@ class TestServeSubprocess:
 
     def test_serve_observe_snapshot_shutdown(self, tmp_path, model_file):
         snapshot, expected = self.run_two_observes_then(signal.SIGINT, tmp_path, model_file)
+        assert snapshot == expected
+
+    def test_sigint_stops_a_server_that_inherited_it_ignored(self, tmp_path, model_file):
+        snapshot, expected = self.run_two_observes_then(
+            signal.SIGINT, tmp_path, model_file, ignore_sigint=True
+        )
         assert snapshot == expected
 
     def test_sigterm_writes_a_loadable_final_snapshot(self, tmp_path, model_file):
@@ -415,29 +505,19 @@ class TestServeSubprocess:
         reference = PredictionService(model_from_csv(model_file.read_text()), EngineConfig())
         expected = [reference.handle_line(line) for line in stream]
 
+        def talk(host, port):
+            with socket.create_connection((host, port), timeout=30) as conn:
+                payload = "".join(line + "\n" for line in stream).encode()
+                # sent from a thread, so that replies are read while it sends
+                sender = threading.Thread(target=conn.sendall, args=(payload,))
+                sender.start()
+                with conn.makefile("rb") as reader:
+                    replies = [reader.readline().decode().rstrip("\n") for _ in stream]
+                sender.join(timeout=30)
+            return replies
+
         snap = tmp_path / "snap.csv"
-        with subprocess.Popen(
-            [sys.executable, "-m", "nextpage", "serve", "--model", str(model_file),
-             "--port", "0", "--snapshot-out", str(snap)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_child_env(),
-        ) as proc:
-            try:
-                ready = proc.stdout.readline().strip()
-                assert ready.startswith("listening on ")
-                host, port = ready.removeprefix("listening on ").rsplit(":", 1)
-                with socket.create_connection((host, int(port)), timeout=30) as conn:
-                    payload = "".join(line + "\n" for line in stream).encode()
-                    # sent from a thread, so that replies are read while it sends
-                    sender = threading.Thread(target=conn.sendall, args=(payload,))
-                    sender.start()
-                    with conn.makefile("rb") as reader:
-                        replies = [reader.readline().decode().rstrip("\n") for _ in stream]
-                    sender.join(timeout=30)
-            finally:
-                proc.send_signal(signal.SIGTERM)
-                assert proc.wait(timeout=15) == 0
+        code, replies = _serve(model_file, snap, talk, signal.SIGTERM)
+        assert code == 0
         assert replies == expected
         assert snap.read_text() == reference.snapshot_csv()

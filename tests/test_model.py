@@ -89,6 +89,19 @@ class TestResolveCommonPages:
         classes, common = assign_classes(micro_site)
         assert resolve_common_pages(micro_site, classes, common) == MICRO_CLASSES
 
+    def test_tie_goes_to_smaller_class_not_to_the_first_counted(self):
+        # x is first touched by d2 (class 2), and its class-2 in-link is
+        # counted before its class-1 one; one in-link each, so class 1 wins
+        g = graph(
+            ["d1", "d2", "a", "x"],
+            {"d1": ["a"], "d2": ["x"], "a": ["x"], "x": []},
+            ["d1", "d2"],
+        )
+        classes, common = assign_classes(g)
+        assert classes["x"] == 2
+        assert common == ["x"]
+        assert resolve_common_pages(g, classes, common)["x"] == 1
+
     def test_majority_wins(self):
         g = graph(
             ["d1", "d2", "a", "b", "x"],

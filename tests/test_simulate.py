@@ -6,7 +6,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nextpage.config import EngineConfig
@@ -27,7 +27,7 @@ from nextpage.simulate import (
 )
 from nextpage.sitegraph import ModificationLog, SiteGraph
 from nextpage.updates import ModificationEvent, SessionEvent, apply_event
-from oracles import eager_demotion_sweep, eager_modification_sweep
+from oracles import eager_demotion_sweep, eager_modification_sweep, oracle_generate_trace
 from strategies import site_graphs
 
 
@@ -543,6 +543,25 @@ class TestGenerateTrace:
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             generate_trace(chain_graph(), seed=1, **kwargs)
+
+    @given(
+        site_graphs(min_pages=1, max_pages=8),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=10),
+        st.integers(),
+    )
+    # no home, so every start is a seeded draw; "b" is a dead end and "u"
+    # is reached by no dominant (class 0) but links on
+    @example(
+        graph(["a", "b", "u"], {"a": ["b", "a"], "b": [], "u": ["a", "b"]}, ["a"]),
+        0.5, 4, 10, 3,
+    )
+    def test_matches_the_earlier_generator(self, g, affinity, sessions, length, seed):
+        """Byte-identical traces: the same random draws, in the same order,
+        with and without a home, through dead ends and class-0 pages."""
+        expected = oracle_generate_trace(g, sessions, length, affinity, seed)
+        assert generate_trace(g, sessions, length, affinity, seed) == expected
 
 
 class TestTraceCsv:
