@@ -199,6 +199,21 @@ def resolve_common_pages(
     return resolved
 
 
+def page_classes(g: SiteGraph) -> dict[str, int]:
+    """Every page's class: `assign_classes`, then `resolve_common_pages`.
+
+    Worked out once per graph object, on the first call, and kept in
+    `g.class_map`; later calls return that map, which callers must not
+    change.
+    """
+    classes = g.class_map
+    if classes is None:
+        classes = resolve_common_pages(g, *assign_classes(g))
+        # SiteGraph is frozen; the map is a cache, not part of its value.
+        object.__setattr__(g, "class_map", classes)
+    return classes
+
+
 def assign_levels(
     ranks: RankAssignment, levels: int | None = None
 ) -> tuple[int, dict[str, int]]:
@@ -235,8 +250,10 @@ def build_model(
 ) -> Model:
     """Assemble the initial model; deterministic for identical inputs.
 
-    The clock starts at the newest modification tick, where `model_from_csv`
-    resumes it on a reload of the dump.
+    Classes come from `page_classes`, worked out once per graph object, so
+    a second build from the same graph, or a trace generated from it, does
+    not redo them.  The clock starts at the newest modification tick, where
+    `model_from_csv` resumes it on a reload of the dump.
     """
     if set(ranks.ordinals) != set(g.pages):
         raise ValidationError("rank assignment does not cover the graph's pages")
@@ -248,8 +265,7 @@ def build_model(
         if url not in g.links:
             raise ValidationError(f"modification log names unknown page {url}")
 
-    provisional, common = assign_classes(g)
-    class_map = resolve_common_pages(g, provisional, common)
+    class_map = page_classes(g)
     level_count, level_map = assign_levels(ranks, levels=levels)
 
     records: dict[str, PageRecord] = {}

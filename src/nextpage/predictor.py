@@ -48,7 +48,7 @@ def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
 _PRECEDENCE = itemgetter(0, 1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prediction:
     """Ordered candidates for one request; `window` is a prefix of their URLs.
 
@@ -59,6 +59,15 @@ class Prediction:
     source: str
     window: tuple[str, ...]
     _ranked: list[tuple[bool, int, int, str, int]] = field(hash=False)
+
+    def __init__(self, source, window, _ranked):
+        # Replay and the service build one per request.  Writing the instance
+        # dict takes about half the time of the generated __init__, which
+        # calls object.__setattr__ once per field.
+        d = self.__dict__
+        d["source"] = source
+        d["window"] = window
+        d["_ranked"] = _ranked
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -91,14 +100,15 @@ def predict(model: Model, url: str, window: int) -> Prediction:
 
     s = model.schedule
     cutoff = -math.inf if s is None else s.last - s.threshold
-    source_class = source.class_no
+    # Class 0 never matches: no class number equals -1.
+    source_class = source.class_no or -1
     ranked = []
+    append = ranked.append
     for rec in links:
         if rec.ts <= cutoff and rec.level > 1:
             _settle(s, rec)
         class_no = rec.class_no
-        match = class_no == source_class and class_no != 0
-        ranked.append((match, rec.level, rec.ordinal, rec.url, class_no))
+        append((class_no == source_class, rec.level, rec.ordinal, rec.url, class_no))
     # The sort is stable under reverse=True, so URL order breaks full ties.
     ranked.sort(key=_PRECEDENCE, reverse=True)
     return Prediction(url, tuple([key[3] for key in ranked[:window]]), ranked)

@@ -15,11 +15,15 @@ arguments always produce identical traces.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import EngineConfig
 from .errors import TraceFormatError, UnknownPageError, ValidationError
-from .model import Model, assign_classes, resolve_common_pages
+# Nothing here calls `assign_classes` or `resolve_common_pages`; they stay
+# importable from this module because perfbench's traced run wraps
+# `simulate.assign_classes` and `simulate.resolve_common_pages` by attribute.
+from .model import Model, assign_classes, page_classes, resolve_common_pages  # noqa: F401
 from .predictor import predict
 from .sitegraph import ModificationLog, SiteGraph
 from .updates import ModificationEvent, SessionEvent, apply_event, run_sweeps
@@ -93,7 +97,6 @@ def replay(
 
     caches: dict[str, set[str]] = {}
     stats: dict[str, SessionStats] = {}
-    requests = 0
     hits = 0
     due = 0  # every sweep before this tick has run
 
@@ -104,26 +107,27 @@ def replay(
         if kind == 0:
             apply_event(model, event)
             continue
-        session = stats.get(event.session_id)
-        if session is None:
-            stats[event.session_id] = SessionStats()
-            cache = caches[event.session_id] = set()
-        else:
-            cache = caches[event.session_id]
-            session.requests += 1
-            requests += 1
-            if event.url in cache:
-                session.hits += 1
-                hits += 1
+        sid = event.session_id
+        cache = caches.get(sid)
+        if cache is None:
+            stats[sid] = SessionStats()
+            cache = caches[sid] = set()
+        elif event.url in cache:
+            stats[sid].hits += 1
+            hits += 1
         apply_event(model, event)
         prediction = predict(model, event.url, window)
         if window_only_cache:
-            caches[event.session_id] = set(prediction.window)
+            caches[sid] = set(prediction.window)
         else:
             cache.update(prediction.window)
 
     if timeline:
         run_sweeps(model, cfg, due - 1, timeline[-1][0])
+    # Every request but a session's first is scored.
+    for sid, n in Counter(ev.session_id for ev in trace).items():
+        stats[sid].requests = n - 1
+    requests = len(trace) - len(stats)
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
 
 
@@ -141,9 +145,11 @@ def generate_trace(
     Each step follows an out-link of the current page: with probability
     `affinity` uniformly among same-class out-links (all out-links when the
     page has none), otherwise uniformly among all out-links.  Dead ends
-    restart the session at its start page.  A page's moves (its out-links and
-    its same-class out-links, none in class 0) are worked out once, on its
-    first visit.
+    restart the session at its start page.  Classes come from `page_classes`,
+    worked out once per graph object, so a graph already built into a model
+    or used for a trace does not redo them.  A page's moves (its out-links
+    and its same-class out-links, none in class 0) are worked out once, on
+    its first visit.
     """
     if sessions < 1 or length < 1:
         raise ValidationError("sessions and length must be at least 1")
@@ -152,8 +158,7 @@ def generate_trace(
 
     rng = random.Random(seed)
     random_, choice = rng.random, rng.choice
-    provisional, common = assign_classes(g)
-    classes = resolve_common_pages(g, provisional, common)
+    classes = page_classes(g)
 
     starts = [g.home if g.home is not None else choice(g.pages) for _ in range(sessions)]
     ids = [f"s{s + 1}" for s in range(sessions)]

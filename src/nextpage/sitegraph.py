@@ -17,7 +17,7 @@ downstream tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GraphFormatError, ModLogFormatError, ValidationError
 
@@ -39,12 +39,18 @@ class SiteGraph:
 
     Immutable after construction; safe to share between threads.  `links`
     must have exactly one entry per page (possibly empty), in file order.
+    `class_map` holds the graph's resolved class map once `model.page_classes`
+    has worked it out; it is worked out once per graph object, which is sound
+    only because nothing changes `pages`, `links` or `dominants` after
+    construction.  It is no part of the graph's value: equality, hash and
+    repr ignore it, and a pickled graph carries it.
     """
 
     pages: tuple[str, ...]
     links: dict[str, tuple[str, ...]]
     dominants: tuple[str, ...]
     home: str | None = None
+    class_map: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pages:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,12 @@ from nextpage.model import (
     build_model,
     model_from_csv,
     model_to_csv,
+    page_classes,
     resolve_common_pages,
 )
 from nextpage.ranking import RankAssignment, rank_pages
-from nextpage.sitegraph import ModificationLog, SiteGraph
+from nextpage.simulate import generate_trace
+from nextpage.sitegraph import ModificationLog, SiteGraph, parse_graph
 from oracles import resolve_by_inlink_majority
 from strategies import site_graphs
 
@@ -330,6 +333,81 @@ A6,c,0,3,1,0,7,6,0,
 
 V2 = "nextpage-model v2,levels=3\n" + MODEL_V2_HEADER + "\n"
 ROW = "A1,a,0,1,1,0,0,1,0,\n"
+
+
+class TestPageClasses:
+    """The resolved class map is worked out once per graph object and kept
+    on it; it is no part of the graph's value."""
+
+    def test_worked_out_once_per_graph(self, micro_graph_text, monkeypatch):
+        import nextpage.model as model_mod
+
+        calls = []
+
+        def counted(g, _fn=model_mod.assign_classes):
+            calls.append(g)
+            return _fn(g)
+
+        monkeypatch.setattr(model_mod, "assign_classes", counted)
+        g = parse_graph(micro_graph_text)
+        ranks = rank_pages(g)
+        for _ in range(2):
+            build_model(g, ranks)
+            generate_trace(g, sessions=2, length=5, affinity=0.5, seed=1)
+        assert len(calls) == 1 and calls[0] is g
+        other = parse_graph(micro_graph_text)
+        build_model(other, ranks)
+        generate_trace(other, sessions=2, length=5, affinity=0.5, seed=1)
+        assert len(calls) == 2 and calls[1] is other
+
+    def test_filled_map_leaves_equality_and_repr(self, micro_graph_text):
+        g, fresh = parse_graph(micro_graph_text), parse_graph(micro_graph_text)
+        classes = page_classes(g)
+        assert classes == MICRO_CLASSES
+        assert g.class_map is classes and fresh.class_map is None
+        assert g == fresh and repr(g) == repr(fresh)
+        assert SiteGraph(g.pages, g.links, g.dominants, g.home) == g
+
+    def test_pickle_carries_the_map(self, micro_graph_text, monkeypatch):
+        import nextpage.model as model_mod
+
+        g = parse_graph(micro_graph_text)
+        page_classes(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.class_map == MICRO_CLASSES
+
+        def fail(g):
+            raise AssertionError("the pickled map was recomputed")
+
+        monkeypatch.setattr(model_mod, "assign_classes", fail)
+        assert page_classes(copy) == MICRO_CLASSES
+
+    @given(
+        site_graphs(min_pages=1, max_pages=8),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(0, 2**16),
+    )
+    # no home, a dead end (c), a common page (c) and a class-0 page (z)
+    @example(
+        graph(["d1", "d2", "c", "z"], {"d1": ["c"], "d2": ["c"], "c": [], "z": ["d1"]}, ["d1", "d2"]),
+        3, 6, 0.5, 7,
+    )
+    def test_warm_map_gives_what_a_fresh_graph_gives(self, g, sessions, length, affinity, seed):
+        """A trace from a graph already built into a model equals one from a
+        freshly built equal graph, and so does a second build's dump."""
+        ranks = rank_pages(g)
+        first_dump = model_to_csv(build_model(g, ranks))
+        assert g.class_map is not None
+        warm_trace = generate_trace(g, sessions, length, affinity, seed)
+        warm_dump = model_to_csv(build_model(g, ranks))
+
+        def fresh():
+            return SiteGraph(g.pages, dict(g.links), g.dominants, g.home)
+
+        assert generate_trace(fresh(), sessions, length, affinity, seed) == warm_trace
+        assert model_to_csv(build_model(fresh(), ranks)) == warm_dump == first_dump
 
 
 class TestModelCsv:
