@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ModelFormatError, ValidationError
@@ -328,8 +330,14 @@ def model_to_csv(model: Model | ModelImage) -> str:
     return "".join(pieces)
 
 
-def _parse_levels_line(line: str) -> int:
-    """The level cap from a dump's first line, `nextpage-model v2,levels=<L>`."""
+def _numbered(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number in the file, line) for each non-blank line."""
+    return ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
+
+
+def _parse_levels_line(line: str, lineno: int) -> int:
+    """The level cap from a dump's first line, `nextpage-model v2,levels=<L>`,
+    found at line `lineno` of the file."""
     tag, _, setting = line.partition(",")
     key, _, value = setting.partition("=")
     try:
@@ -337,7 +345,7 @@ def _parse_levels_line(line: str) -> int:
     except ValueError:
         cap = 0
     if tag != MODEL_V2_TAG or key != "levels" or cap < 1:
-        raise ModelFormatError(f"expected header {_V2_TAG_LINE!r}", line=1)
+        raise ModelFormatError(f"expected header {_V2_TAG_LINE!r}", line=lineno)
     return cap
 
 
@@ -351,13 +359,16 @@ def model_from_csv(text: str) -> Model:
     is rejected rather than loaded with that row's links truncated.  The
     clock resumes at the newest stored tick.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    cap = _parse_levels_line(lines[0] if lines else "")
-    if len(lines) < 2 or lines[1] != MODEL_V2_HEADER:
-        raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=2)
+    lines = text.splitlines()
+    rows = _numbered(lines)
+    tag_lineno, tag = next(rows, (1, ""))
+    cap = _parse_levels_line(tag, tag_lineno)
+    header_lineno, header = next(rows, (tag_lineno + 1, ""))
+    if header != MODEL_V2_HEADER:
+        raise ModelFormatError(f"expected header {MODEL_V2_HEADER!r}", line=header_lineno)
     if not text.endswith("\n"):
         raise ModelFormatError("model dump does not end in a newline: it was cut short")
-    p = len(lines) - 2
+    p = sum(1 for line in lines if line.strip()) - 2
     if p == 0:
         raise ModelFormatError("model dump has no rows")
 
@@ -366,7 +377,7 @@ def model_from_csv(text: str) -> Model:
     # One string object per distinct URL, shared by its row and every link
     # to it, so the link lists hold no strings of their own.
     shared: dict[str, str] = {}
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in rows:
         fields = line.split(",")
         if len(fields) != 10:
             raise ModelFormatError("expected 10 comma-separated fields", lineno)
@@ -396,9 +407,12 @@ def model_from_csv(text: str) -> Model:
         links = tuple(map(shared.setdefault, targets, targets))
         records[url] = PageRecord(url, lc, level, cls, ts, dm, links, ordinal, dm_seen)
 
-    for lineno, rec in enumerate(records.values(), start=3):
-        for t in rec.links:
-            if t not in records:
-                raise ModelFormatError(f"unknown page {t} in links", lineno)
+    # `shared` holds every row's URL and every link target, so it outgrows
+    # `records` only when a link names no row; then find the first such row.
+    if len(shared) > len(records):
+        for (lineno, _), rec in zip(islice(_numbered(lines), 2, None), records.values()):
+            for t in rec.links:
+                if t not in records:
+                    raise ModelFormatError(f"unknown page {t} in links", lineno)
     tick = max(max(r.ts, r.dm) for r in records.values())
     return Model(records=records, levels=cap, tick=tick)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter, lt
 
 from .config import EngineConfig
 from .errors import TraceFormatError, UnknownPageError, ValidationError
@@ -30,6 +32,11 @@ from .updates import ModificationEvent, SessionEvent, apply_event, run_sweeps
 
 TRACE_CSV_HEADER = "tick,session_id,url"
 REPORT_CSV_HEADER = "window,requests,hits,hit_pct,session"
+
+# Builds a SessionEvent from a (session_id, url, tick) tuple in one C-level
+# call, without the named tuple's Python-level __new__.
+_session_event = partial(tuple.__new__, SessionEvent)
+_tick = attrgetter("tick")
 
 
 @dataclass
@@ -77,34 +84,30 @@ def replay(
     """
     if window < 0:
         raise ValidationError("window must be non-negative")
-    last_tick = None
-    for ev in trace:
-        if ev.url not in model.records:
-            raise UnknownPageError(ev.url)
-        if last_tick is not None and ev.tick <= last_tick:
-            raise ValidationError("trace ticks must be strictly increasing")
-        last_tick = ev.tick
-    mods = [ModificationEvent(url=url, tick=tick) for url, tick in (modlog.entries if modlog else ())]
+    records = model.records
+    ticks = list(map(_tick, trace))
+    if not (records.keys() >= set(map(attrgetter("url"), trace)) and all(map(lt, ticks, ticks[1:]))):
+        _reject_trace(records, trace)
+    mods = [ModificationEvent(url, tick) for url, tick in modlog.entries] if modlog else []
     for mod in mods:
-        if mod.url not in model.records:
+        if mod.url not in records:
             raise UnknownPageError(mod.url)
 
-    # Merged timeline: by tick, modifications before requests on equal ticks.
-    # (tick, kind, index) is unique, so the sort never compares two events.
-    timeline = [(m.tick, 0, i, m) for i, m in enumerate(mods)]
-    timeline += [(e.tick, 1, i, e) for i, e in enumerate(trace)]
-    timeline.sort()
+    # Merged timeline: by tick, modifications before requests on equal ticks
+    # (the sort is stable and the modifications come first).
+    timeline = sorted([*mods, *trace], key=_tick)
 
     caches: dict[str, set[str]] = {}
     stats: dict[str, SessionStats] = {}
     hits = 0
     due = 0  # every sweep before this tick has run
 
-    for tick, kind, _, event in timeline:
+    for event in timeline:
+        tick = event.tick
         if tick > due:
             # the sweeps at ticks due .. tick - 1, each after its tick's events
             due = run_sweeps(model, cfg, due - 1, tick - 1)
-        if kind == 0:
+        if isinstance(event, ModificationEvent):
             apply_event(model, event)
             continue
         sid = event.session_id
@@ -123,12 +126,24 @@ def replay(
             cache.update(prediction.window)
 
     if timeline:
-        run_sweeps(model, cfg, due - 1, timeline[-1][0])
+        run_sweeps(model, cfg, due - 1, timeline[-1].tick)
     # Every request but a session's first is scored.
-    for sid, n in Counter(ev.session_id for ev in trace).items():
+    for sid, n in Counter(map(attrgetter("session_id"), trace)).items():
         stats[sid].requests = n - 1
     requests = len(trace) - len(stats)
     return HitReport(window=window, requests=requests, hits=hits, per_session=stats)
+
+
+def _reject_trace(records: dict, trace: list[SessionEvent]) -> None:
+    """Raise the error of the first event, in trace order, whose page is
+    unknown or whose tick does not increase."""
+    last_tick = None
+    for ev in trace:
+        if ev.url not in records:
+            raise UnknownPageError(ev.url)
+        if last_tick is not None and ev.tick <= last_tick:
+            raise ValidationError("trace ticks must be strictly increasing")
+        last_tick = ev.tick
 
 
 def generate_trace(
@@ -161,41 +176,40 @@ def generate_trace(
     classes = page_classes(g)
 
     starts = [g.home if g.home is not None else choice(g.pages) for _ in range(sessions)]
-    ids = [f"s{s + 1}" for s in range(sessions)]
-    events = [SessionEvent(ids[s], starts[s], s + 1) for s in range(sessions)]
+    # Each step's URL, in tick order: a session's previous page lies one
+    # round, `sessions` entries, back.  The events are built at the end.
+    urls = list(starts)
     # Per page, filled on its first visit: (out-links, same-class out-links).
     moves: dict[str, tuple[tuple[str, ...], list[str]]] = {}
-    current = list(starts)
-    tick = sessions
-    for _ in range(length - 1):
-        for s, sid in enumerate(ids):
-            here = current[s]
-            move = moves.get(here)
-            if move is None:
-                outs, cls = g.links[here], classes[here]
-                move = moves[here] = (outs, [t for t in outs if classes[t] == cls] if cls else [])
-            outs, same_class = move
-            if not outs:
-                url = starts[s]
-            elif random_() < affinity and same_class:
-                url = choice(same_class)
-            else:
-                url = choice(outs)
-            tick += 1
-            events.append(SessionEvent(sid, url, tick))
-            current[s] = url
-    return events
+    for step in range(sessions * (length - 1)):
+        here = urls[step]
+        move = moves.get(here)
+        if move is None:
+            outs, cls = g.links[here], classes[here]
+            move = moves[here] = (outs, [t for t in outs if classes[t] == cls] if cls else [])
+        outs, same_class = move
+        if not outs:
+            url = starts[step % sessions]
+        elif random_() < affinity and same_class:
+            url = choice(same_class)
+        else:
+            url = choice(outs)
+        urls.append(url)
+    ids = [f"s{s + 1}" for s in range(sessions)]
+    return list(map(_session_event, zip(ids * length, urls, range(1, len(urls) + 1))))
 
 
 def trace_to_csv(trace: list[SessionEvent]) -> str:
     lines = [TRACE_CSV_HEADER]
-    lines.extend(f"{ev.tick},{ev.session_id},{ev.url}" for ev in trace)
+    lines.extend(f"{tick},{sid},{url}" for sid, url, tick in trace)
     return "\n".join(lines) + "\n"
 
 
 def parse_trace(text: str) -> list[SessionEvent]:
     """Parse a trace CSV (`tick,session_id,url`, header optional)."""
-    events: list[SessionEvent] = []
+    sids: list[str] = []
+    urls: list[str] = []
+    ticks: list[int] = []
     last_tick = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -213,8 +227,10 @@ def parse_trace(text: str) -> list[SessionEvent]:
         if last_tick is not None and tick <= last_tick:
             raise TraceFormatError("ticks must be strictly increasing", lineno)
         last_tick = tick
-        events.append(SessionEvent(fields[1], fields[2], tick))
-    return events
+        sids.append(fields[1])
+        urls.append(fields[2])
+        ticks.append(tick)
+    return list(map(_session_event, zip(sids, urls, ticks)))
 
 
 def report_to_csv(report: HitReport) -> str:

@@ -30,25 +30,23 @@ next sweep due, so replay calls it only once a tick passes that one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import EngineConfig
 from .errors import UnknownPageError
 from .model import Model, Schedule, _settle
 
 
-@dataclass(frozen=True)
-class SessionEvent:
-    """One observed request within a session."""
+class SessionEvent(NamedTuple):
+    """One observed request within a session (an immutable named tuple)."""
 
     session_id: str
     url: str
     tick: int
 
 
-@dataclass(frozen=True)
-class ModificationEvent:
-    """A page changed content at `tick`."""
+class ModificationEvent(NamedTuple):
+    """A page changed content at `tick` (an immutable named tuple)."""
 
     url: str
     tick: int

@@ -481,6 +481,12 @@ class TestModelCsv:
             # 0 <= dm_seen <= dm
             (V2 + "A1,a,0,1,1,0,4,1,5,\n", "line 3: dm_seen 5 outside [0, 4]"),
             (V2 + "A1,a,0,1,1,0,4,1,-1,\n", "line 3: dm_seen -1 outside [0, 4]"),
+            # blank lines count: an error names its line in the file
+            (V2 + "\n\nA1,a,0,1,1,0,0,1,0,\nA2,b,9,1,1,0,0,2,0,\n", "line 6: counter 9 outside [0, 2]"),
+            (V2 + "\nA1,a,0,1,1,0,0,1,0,b\n\n\nA2,b,0,1,1,0,0,2,0,zz\n", "line 7: unknown page zz in links"),
+            ("\n\nnextpage-model v2,levels=0\n", "line 3: expected header"),
+            ("\nnextpage-model v2,levels=3\n\nkey,url\n" + ROW, "line 4: expected header"),
+            ("nextpage-model v2,levels=3\n\n", "line 2: expected header"),
         ],
     )
     def test_format_errors(self, text, fragment):

@@ -156,7 +156,43 @@ class TestReplayScoring:
         assert report.hit_pct == 0.0
 
 
+def parsed(trace):
+    """The same events, each read back from its own trace CSV line."""
+    return [ev for one in trace for ev in parse_trace(f"{one.tick},{one.session_id},{one.url}\n")]
+
+
 class TestReplayValidation:
+    UNKNOWN_FIRST = trace_of((1, "s1", "x1"), (2, "s1", "zzz"), (2, "s2", "x2"))
+    TICK_FIRST = trace_of((1, "s1", "x1"), (1, "s2", "x2"), (3, "s1", "zzz"))
+
+    def used_model(self):
+        """A model with a sweep schedule, a pending modification and a clock."""
+        model = fresh_model(chain_graph())
+        cfg = EngineConfig(demote_threshold=3, sweep_period=2)
+        replay(model, trace_of((1, "s1", "x1"), (2, "s1", "x2"), (3, "s1", "x3")), 1, cfg)
+        apply_event(model, ModificationEvent("x2", 4))
+        assert model.schedule is not None and model.pending
+        return model
+
+    @pytest.mark.parametrize("read", [list, parsed], ids=["events", "parsed"])
+    @pytest.mark.parametrize(
+        "trace,error,match",
+        [
+            (UNKNOWN_FIRST, UnknownPageError, "unknown page zzz"),
+            (TICK_FIRST, ValidationError, "strictly increasing"),
+        ],
+        ids=["unknown-url-first", "tick-first"],
+    )
+    def test_first_fault_in_trace_order_wins_and_nothing_changes(self, read, trace, error, match):
+        """The whole trace is checked at once, before the model is touched;
+        of an unknown URL and a tick that does not increase, the one earlier
+        in the trace picks the error."""
+        model = self.used_model()
+        before = (model_to_csv(model), model.tick, model.schedule, set(model.pending))
+        with pytest.raises(error, match=match):
+            replay(model, read(trace), window=1, cfg=CFG)
+        assert (model_to_csv(model), model.tick, model.schedule, set(model.pending)) == before
+
     def test_unknown_url_rejected_before_any_mutation(self):
         model = fresh_model(chain_graph())
         before = model_to_csv(model)
@@ -564,7 +600,30 @@ class TestGenerateTrace:
         assert generate_trace(g, sessions, length, affinity, seed) == expected
 
 
+trace_fields = st.text(
+    st.characters(whitelist_categories=("L", "N"), whitelist_characters="/._-"), min_size=1
+)
+
+
+@st.composite
+def traces(draw):
+    """Events on strictly increasing ticks from 0 up, with ids and URLs that
+    need no quoting."""
+    gaps = draw(st.lists(st.integers(1, 5), max_size=20))
+    ticks = accumulate(gaps, initial=draw(st.integers(0, 3)))
+    return [SessionEvent(draw(trace_fields), draw(trace_fields), t) for t in ticks]
+
+
 class TestTraceCsv:
+    @given(traces())
+    def test_text_matches_the_per_event_format_and_round_trips(self, trace):
+        expected = "".join(
+            [TRACE_CSV_HEADER + "\n"] + [f"{ev.tick},{ev.session_id},{ev.url}\n" for ev in trace]
+        )
+        text = trace_to_csv(trace)
+        assert text == expected
+        assert parse_trace(text) == trace
+
     def test_round_trip(self):
         g = chain_graph()
         trace = generate_trace(g, sessions=2, length=5, affinity=0.5, seed=4)

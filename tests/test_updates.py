@@ -1,3 +1,4 @@
+import pickle
 from copy import deepcopy
 from dataclasses import replace
 from itertools import count
@@ -245,6 +246,54 @@ class TestModificationSweep:
         assert model.records["H"].level == 3
 
 
+class TestEventRecords:
+    def test_positional_and_keyword_construction(self):
+        assert SessionEvent("s1", "a", 3) == SessionEvent(session_id="s1", url="a", tick=3)
+        assert SessionEvent("s1", url="a", tick=3) == SessionEvent("s1", "a", 3)
+        assert ModificationEvent("a", 3) == ModificationEvent(url="a", tick=3)
+        ev = SessionEvent("s1", "a", 3)
+        assert (ev.session_id, ev.url, ev.tick) == ("s1", "a", 3)
+        mod = ModificationEvent("a", 3)
+        assert (mod.url, mod.tick) == ("a", 3)
+
+    def test_repr(self):
+        assert repr(SessionEvent("s1", "a", 3)) == "SessionEvent(session_id='s1', url='a', tick=3)"
+        assert repr(ModificationEvent("a", 3)) == "ModificationEvent(url='a', tick=3)"
+
+    def test_equality_and_hash_of_the_fields(self):
+        ev = SessionEvent("s1", "a", 3)
+        assert ev == SessionEvent("s1", "a", 3)
+        assert ev != SessionEvent("s2", "a", 3)
+        assert ev != SessionEvent("s1", "b", 3)
+        assert ev != SessionEvent("s1", "a", 4)
+        assert hash(ev) == hash(("s1", "a", 3))
+        mod = ModificationEvent("a", 3)
+        assert mod == ModificationEvent("a", 3)
+        assert mod != ModificationEvent("a", 4)
+        assert hash(mod) == hash(("a", 3))
+        assert ev != mod
+
+    @pytest.mark.parametrize("event", [SessionEvent("s1", "a", 3), ModificationEvent("a", 3)])
+    def test_pickle_round_trip(self, event):
+        again = pickle.loads(pickle.dumps(event, pickle.HIGHEST_PROTOCOL))
+        assert type(again) is type(event)
+        assert again == event
+
+    @pytest.mark.parametrize(
+        "event,names",
+        [
+            (SessionEvent("s1", "a", 3), ("session_id", "url", "tick")),
+            (ModificationEvent("a", 3), ("url", "tick")),
+        ],
+    )
+    def test_attributes_are_read_only(self, event, names):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(event, name, "x")
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+
 class TestApplyEvent:
     def test_access_dispatch(self, model):
         rec = model.records["H"]
@@ -461,11 +510,11 @@ def drive(model, events, cfg, engine, previous=0):
     sweeps, demote, promote = engine
     orders = []
     for ev in events:
-        tick = ev[1] if isinstance(ev, tuple) else ev.tick
+        tick = ev[1] if type(ev) is tuple else ev.tick
         sweeps(model, cfg, previous, tick - 1)
         if ev == ("sweeps", tick):
             demote(model, cfg, tick)
-        if isinstance(ev, tuple):
+        if type(ev) is tuple:
             promote(model, cfg, tick)
         else:
             apply_event(model, ev)
