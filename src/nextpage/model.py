@@ -285,46 +285,22 @@ def build_model(
     return Model(records=records, levels=level_count, tick=max(latest_dm.values(), default=0))
 
 
-class ModelImage(NamedTuple):
-    """A settled copy of what the dump stores: the level cap and one row per
-    page, sorted by URL, as (url, lc, level, class, ts, dm, ordinal, dm_seen,
-    links)."""
-
-    levels: int
-    rows: list[tuple[str, int, int, int, int, int, int, int, tuple[str, ...]]]
-
-
-def model_image(model: Model) -> ModelImage:
-    """Settle every record and copy the fields the dump stores."""
-    model.settle_all()
-    records = model.records
-    return ModelImage(
-        model.levels,
-        [
-            (r.url, r.lc, r.level, r.class_no, r.ts, r.dm, r.ordinal, r.dm_seen, r.links)
-            for r in map(records.__getitem__, sorted(records))
-        ],
-    )
-
-
-def model_to_csv(model: Model | ModelImage) -> str:
-    """Dump a model, or an image of one, as a v2 model CSV.
+def model_to_csv(model: Model) -> str:
+    """Dump a model as a v2 model CSV.
 
     Line 1 is `nextpage-model v2,levels=<L>`, which stays the same for the
     model's whole life; line 2 is the column header; then one row per page,
     sorted by URL, every record settled first.
     """
-    image = model if isinstance(model, ModelImage) else model_image(model)
-    rows = image.rows
-    pieces = [f"{MODEL_V2_TAG},levels={image.levels}\n{MODEL_V2_HEADER}\n"]
+    model.settle_all()
+    records = [model.records[url] for url in sorted(model.records)]
+    pieces = [f"{MODEL_V2_TAG},levels={model.levels}\n{MODEL_V2_HEADER}\n"]
     # A thousand rows at a time, so that the lines of every row are never
     # held beside the text at once.
-    for first in range(0, len(rows), 1000):
+    for first in range(0, len(records), 1000):
         lines = [
-            f"A{i},{url},{lc},{level},{cls},{ts},{dm},{ordinal},{dm_seen},{';'.join(links)}\n"
-            for i, (url, lc, level, cls, ts, dm, ordinal, dm_seen, links) in enumerate(
-                rows[first : first + 1000], start=first + 1
-            )
+            f"A{i},{r.url},{r.lc},{r.level},{r.class_no},{r.ts},{r.dm},{r.ordinal},{r.dm_seen},{';'.join(r.links)}\n"
+            for i, r in enumerate(records[first : first + 1000], start=first + 1)
         ]
         pieces.append("".join(lines))
     return "".join(pieces)

@@ -10,10 +10,10 @@ Malformed requests get an {"error": ...} response and the connection stays
 usable; a request line longer than MAX_LINE_BYTES gets one and its connection
 is closed, and so does a connection beyond the MAX_CONNECTIONS being served.
 A connection silent for IDLE_TIMEOUT_S is closed, and so, with no traceback,
-is one its peer resets.  Requests may be pipelined:
-replies come back in request order, and those to the lines of one read go out
-in one send, with TCP_NODELAY, so none waits on the client's delayed ACK.
-Observes are serialized through one lock; each advances the model's logical
+is one its peer resets.  Requests may be pipelined: replies come back in
+request order, and those to the lines of one read go out in one send, with
+TCP_NODELAY, so none waits on the client's delayed ACK.  One thread answers
+every request, one at a time; each observe advances the model's logical
 clock one tick, then runs the sweeps due at that tick on the schedule replay
 uses (`updates.run_sweeps`), so a given request sequence always leaves the
 same model behind.
@@ -24,14 +24,15 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import selectors
 import signal
 import socket
-import socketserver
 import threading
+import time
 
 from .config import EngineConfig
 from .errors import EngineError
-from .model import Model, model_image, model_to_csv
+from .model import Model, model_to_csv
 from .predictor import predict
 from .updates import SessionEvent, apply_event, run_sweeps
 
@@ -47,7 +48,6 @@ class PredictionService:
     def __init__(self, model: Model, cfg: EngineConfig):
         self.model = model
         self.cfg = cfg
-        self._lock = threading.Lock()
 
     def handle(self, request: object) -> dict:
         if not isinstance(request, dict):
@@ -83,27 +83,20 @@ class PredictionService:
         window = request.get("window", self.cfg.window)
         if type(window) is not int or window < 0:
             return {"error": "'window' must be a non-negative integer"}
-        with self._lock:
-            prediction = predict(self.model, url, window)
-        return {"window": list(prediction.window)}
+        return {"window": list(predict(self.model, url, window).window)}
 
     def _observe(self, request: dict) -> dict:
         url = request.get("url")
         if not isinstance(url, str):
             return {"error": "observe needs a string 'url'"}
         session = request.get("session", "")
-        with self._lock:
-            tick = self.model.tick + 1
-            apply_event(self.model, SessionEvent(session_id=str(session), url=url, tick=tick))
-            run_sweeps(self.model, self.cfg, tick - 1, tick)
+        tick = self.model.tick + 1
+        apply_event(self.model, SessionEvent(session_id=str(session), url=url, tick=tick))
+        run_sweeps(self.model, self.cfg, tick - 1, tick)
         return {"ok": True}
 
     def snapshot_csv(self) -> str:
-        """Settle the model and copy its rows under the lock; format the copy
-        outside it, so predicts and observes wait only for the copy."""
-        with self._lock:
-            image = model_image(self.model)
-        return model_to_csv(image)
+        return model_to_csv(self.model)
 
 
 # The longest request line read, newline included.  A longer line gets an
@@ -113,108 +106,149 @@ MAX_LINE_BYTES = 65536
 # The most bytes one read takes from a connection.
 READ_BYTES = 8192
 
-# The most connections served at once, each on its own thread.  One more gets
-# an error reply and is closed.
+# The most connections served at once; each costs its read buffer of
+# MAX_LINE_BYTES.  One more gets an error reply and is closed.
 MAX_CONNECTIONS = 64
 
 # Seconds a connection may stay silent, or leave a reply unread, before it is
 # closed and its slot freed.
 IDLE_TIMEOUT_S = 120.0
 
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
-class _LineHandler(socketserver.BaseRequestHandler):
-    """Serve one connection a read at a time: answer, in order, every line
-    that the read completes, and send those replies in one send.
 
-    A client that waits for each reply gets one line per read and one send
-    per reply; one that pipelines gets replies in batches that grow with its
-    backlog.  The read buffer holds one line of MAX_LINE_BYTES and the byte
-    after it, which tells an over-long line from a final unterminated one.
-    """
-
-    def handle(self):
-        sock = self.request
-        cap = MAX_LINE_BYTES
-        buf = bytearray(cap + 1)
-        view = memoryview(buf)
-        end = 0  # buf[:end] is the start of a line, no newline in it yet
-        handle_line = self.server.service.handle_line
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(IDLE_TIMEOUT_S)
-            while n := sock.recv_into(view[end:], min(READ_BYTES, cap + 1 - end)):
-                replies = []
-                start, scan, end = 0, end, end + n  # no newline before `scan`
-                while (newline := buf.find(b"\n", scan, end)) >= 0 and newline - start < cap:
-                    line = buf[start:newline].decode("utf-8", "replace").strip()
-                    if line:
-                        replies.append(handle_line(line))
-                    start = scan = newline + 1
-                if newline >= 0 or end - start > cap:
-                    replies.append(json.dumps({"error": f"request line longer than {cap} bytes"}))
-                    _send_replies(sock, replies)
-                    return
-                if replies:
-                    _send_replies(sock, replies)
-                if start:
-                    buf[: end - start] = buf[start:end]
-                    end -= start
-            # at EOF, a last line without a newline is answered all the same
-            line = buf[:end].decode("utf-8", "replace").strip()
+def _connection(sock, handle_line):
+    """Serve one connection from when `sock` is first readable, yielding the
+    selector event to wait for next.  Each read answers, in order, the lines
+    it completes, in one send; but a reply longer than READ_BYTES is sent
+    before the next line is answered, and the generator then yields once.
+    Until the socket has taken every reply, nothing more is read.  The read
+    buffer holds one line of MAX_LINE_BYTES and the byte after it, which tells
+    an over-long line from a final unterminated one."""
+    cap = MAX_LINE_BYTES
+    buf = bytearray(cap + 1)
+    view = memoryview(buf)
+    end = 0  # buf[:end] is the start of a line, no newline in it yet
+    replies = []
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(0)
+    while n := sock.recv_into(view[end:], min(READ_BYTES, cap + 1 - end)):
+        start, scan, end = 0, end, end + n  # no newline before `scan`
+        while (newline := buf.find(b"\n", scan, end)) >= 0 and newline - start < cap:
+            line = buf[start:newline].decode("utf-8", "replace").strip()
+            start = scan = newline + 1
             if line:
-                _send_replies(sock, [handle_line(line)])
-        except OSError:
-            # Silent, or its replies unread, for IDLE_TIMEOUT_S (TimeoutError);
-            # reset by the peer (ConnectionResetError); or shut down and closed
-            # under this thread by an interrupted server (BrokenPipeError, or
-            # EBADF): the connection is over, and closing it is no error.
-            pass
+                replies.append(handle_line(line))
+                if len(replies[-1]) > READ_BYTES:
+                    yield from _send(sock, replies)
+                    yield selectors.EVENT_WRITE
+        if newline >= 0 or end - start > cap:
+            replies.append(json.dumps({"error": f"request line longer than {cap} bytes"}))
+            yield from _send(sock, replies)
+            return
+        yield from _send(sock, replies)
+        if start:
+            buf[: end - start] = buf[start:end]
+            end -= start
+        yield selectors.EVENT_READ
+    # at EOF, a last line without a newline is answered all the same
+    line = buf[:end].decode("utf-8", "replace").strip()
+    if line:
+        yield from _send(sock, [handle_line(line)])
 
 
-def _send_replies(sock: socket.socket, replies: list[str]) -> None:
-    """Send `replies` one per line in one send; empties the list, so that a
-    lone large reply is not held beside its joined copy."""
+def _send(sock, replies):
+    """Send `replies` one per line, yielding EVENT_WRITE until the socket has
+    taken them all; empties the list first, so no reply is held three times."""
     replies.append("")
     text = "\n".join(replies)
     replies.clear()
-    sock.sendall(text.encode("utf-8"))
+    data = memoryview(text.encode("utf-8"))
+    del text
+    while data:
+        with contextlib.suppress(BlockingIOError):
+            data = data[sock.send(data) :]
+        if data:
+            yield selectors.EVENT_WRITE
 
 
-class PredictionServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+def _close(conn: socket.socket) -> None:
+    """Close after a FIN, so the peer reads end-of-file even if its input is unread."""
+    with contextlib.suppress(OSError):
+        conn.shutdown(socket.SHUT_WR)
+    conn.close()
+
+
+class PredictionServer:
+    """Serves a PredictionService over TCP from the thread that calls
+    `serve_forever`, resuming each connection's `_connection` when ready."""
 
     def __init__(self, address, service: PredictionService):
-        super().__init__(address, _LineHandler)
         self.service = service
-        self._serving = set()  # the connections being served
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._shutdown_request = False
+        self._is_shut_down = threading.Event()
 
-    def process_request(self, request, client_address):
-        # Only this thread adds connections, so none can be added between the
-        # count and the add; handler threads only take theirs out.
-        if len(self._serving) >= MAX_CONNECTIONS:
-            error = f"too many connections (limit {MAX_CONNECTIONS})"
-            try:
-                request.sendall(json.dumps({"error": error}).encode("utf-8") + b"\n")
-            except OSError:
-                pass
-            self.shutdown_request(request)
-            return
-        self._serving.add(request)
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until `shutdown` or an exception, then close every connection.
+        SIGINT and SIGTERM are let in only while the loop waits, so that a
+        final snapshot sees each request taken whole or not at all."""
+        unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        self._is_shut_down.clear()
+        sel = selectors.DefaultSelector()
+        sel.register(self.socket, selectors.EVENT_READ)
         try:
-            super().process_request(request, client_address)
-        except BaseException:
-            # Maybe no thread started to take the connection out.  If one did
-            # (an interrupt can land just after), taking it out twice is
-            # harmless.
-            self._serving.discard(request)
-            raise
-
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
+            while not self._shutdown_request:
+                signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+                ready = sel.select(poll_interval)
+                signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+                now = time.monotonic()
+                for key, _ in ready:
+                    if key.data is None:
+                        self._accept(sel, now)
+                        continue
+                    try:
+                        event = next(key.data[0])
+                    except (StopIteration, OSError):  # done, or reset by the peer
+                        event = 0
+                    if event and event != key.events:
+                        sel.modify(key.fileobj, event, key.data)
+                    key.data[1] = now + IDLE_TIMEOUT_S if event else now  # over: close below
+                for key in list(sel.get_map().values()):
+                    if key.data and key.data[1] <= now:
+                        sel.unregister(key.fileobj)
+                        _close(key.fileobj)
         finally:
-            self._serving.discard(request)
+            for key in sel.get_map().values():
+                if key.data:
+                    _close(key.fileobj)
+            sel.close()
+            self._shutdown_request = False
+            self._is_shut_down.set()
+            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+
+    def _accept(self, sel: selectors.BaseSelector, now: float) -> None:
+        try:
+            conn, _ = self.socket.accept()
+        except OSError:  # gone before it was accepted
+            return
+        if len(sel.get_map()) <= MAX_CONNECTIONS:  # the listening socket is in it too
+            steps = _connection(conn, self.service.handle_line)
+            sel.register(conn, selectors.EVENT_READ, [steps, now + IDLE_TIMEOUT_S])
+            return
+        with contextlib.suppress(OSError):
+            conn.send(b'{"error": "too many connections (limit %d)"}\n' % MAX_CONNECTIONS)
+        _close(conn)
+
+    def shutdown(self) -> None:
+        """Stop `serve_forever`, run by another thread, and wait for it to end."""
+        self._shutdown_request = True
+        self._is_shut_down.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -268,8 +302,7 @@ def serve(
     server = PredictionServer((host, port), service)
     bound_host, bound_port = server.server_address[:2]
     # Either stops the server, even when SIGINT was inherited ignored.
-    stop_signals = (signal.SIGINT, signal.SIGTERM)
-    previous = {sig: signal.signal(sig, signal.default_int_handler) for sig in stop_signals}
+    previous = {sig: signal.signal(sig, signal.default_int_handler) for sig in _STOP_SIGNALS}
     try:
         print(f"listening on {bound_host}:{bound_port}", flush=True)
         server.serve_forever()

@@ -3,10 +3,10 @@ import os
 import signal
 import socket
 import struct
-import sys
 import threading
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import pytest
@@ -312,22 +312,10 @@ class TestSocketTransport:
             thread.join(timeout=10)
 
     def test_replies_are_sent_with_nodelay(self, service):
-        server = PredictionServer(("127.0.0.1", 0), service)
-        try:
-            with socket.create_connection(server.server_address[:2], timeout=10) as client:
-                client.sendall(b'{"kind": "predict", "url": "H", "window": 1}\n')
-                client.shutdown(socket.SHUT_WR)
-                conn, address = server.get_request()
-                try:
-                    # runs the real handler on the accepted socket until EOF
-                    server.finish_request(conn, address)
-                    assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
-                finally:
-                    conn.close()
-                with client.makefile("rb") as reader:
-                    assert json.loads(reader.readline()) == {"window": ["S"]}
-        finally:
-            server.server_close()
+        sock = ScriptedSocket([ASK])
+        drive(sock, service)
+        assert sock.options == [(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)]
+        assert sock.sent == ASK_REPLY
 
     def test_blank_lines_ignored(self, micro_site):
         model = build_model(micro_site, rank_pages(micro_site))
@@ -348,8 +336,9 @@ class TestSocketTransport:
 
 
 @contextmanager
-def serving_on(server):
-    """Run `server` on a thread; yields its address."""
+def serving(service):
+    """Serve `service` on a free port, on a thread; yields the address."""
+    server = PredictionServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -361,14 +350,13 @@ def serving_on(server):
     assert not thread.is_alive()
 
 
-def serving(service):
-    """A PredictionServer for `service` on a free port, run on a thread."""
-    return serving_on(PredictionServer(("127.0.0.1", 0), service))
-
-
 def read_to_eof(conn):
     with conn.makefile("rb") as reader:
         return reader.read()
+
+
+ASK = b'{"kind": "predict", "url": "H", "window": 1}\n'
+ASK_REPLY = b'{"window": ["S"]}\n'
 
 
 class ScriptedSocket:
@@ -379,9 +367,10 @@ class ScriptedSocket:
         self.chunks = list(chunks)
         self.reads = 0
         self.sent = b""
+        self.options = []
 
     def setsockopt(self, *args):
-        pass
+        self.options.append(args)
 
     def settimeout(self, timeout):
         pass
@@ -395,8 +384,15 @@ class ScriptedSocket:
         buffer[: len(chunk)] = chunk
         return len(chunk)
 
-    def sendall(self, data):
+    def send(self, data):
         self.sent += data
+        return len(data)
+
+
+def drive(sock, service):
+    """Serve one connection on `sock` to its end, as if always ready."""
+    for _ in service_mod._connection(sock, service.handle_line):
+        pass
 
 
 MIXED_PIPELINE = [
@@ -429,11 +425,7 @@ class TestPipelining:
         line = json.dumps({"kind": "predict", "url": "Hé", "window": 1}, ensure_ascii=False)
         data = line.encode() + b"\n" + b'{"kind": "predict", "url": "H", "window": 1}\n'
         sock = ScriptedSocket(data[i : i + 1] for i in range(len(data)))
-        server = PredictionServer(("127.0.0.1", 0), service)
-        try:
-            server.finish_request(sock, ("127.0.0.1", 0))
-        finally:
-            server.server_close()
+        drive(sock, service)
         assert sock.reads == len(data) + 1
         assert sock.sent.decode().split("\n") == [
             json.dumps({"error": "unknown page Hé"}),
@@ -443,11 +435,7 @@ class TestPipelining:
 
     def test_undecodable_bytes_replaced(self, service):
         sock = ScriptedSocket([b'{"kind": "predict", "url": "\xff", "window": 1}\n'])
-        server = PredictionServer(("127.0.0.1", 0), service)
-        try:
-            server.finish_request(sock, ("127.0.0.1", 0))
-        finally:
-            server.server_close()
+        drive(sock, service)
         assert json.loads(sock.sent) == {"error": "unknown page \ufffd"}
 
     def test_unterminated_last_line_answered_at_eof(self, service):
@@ -579,90 +567,84 @@ class TestConnectionCap:
         assert not thread.is_alive()
 
 
-def free_slots(server):
-    """How many more connections `server` would serve now."""
-    return service_mod.MAX_CONNECTIONS - len(server._serving)
+def reply_line(conn):
+    with conn.makefile("rb") as reader:
+        return reader.readline()
+
+
+def slots_come_back(address, count):
+    """Whether `count` connections held open together are all served within a
+    few seconds, in which the server notices the connections that closed."""
+    for _ in range(250):
+        with ExitStack() as stack, suppress(OSError):  # a refused connection may be reset
+            conns = [stack.enter_context(socket.create_connection(address, timeout=10)) for _ in range(count)]
+            for conn in conns:
+                conn.sendall(ASK)
+            if all(reply_line(conn) == ASK_REPLY for conn in conns):
+                return True
+        time.sleep(0.02)
+    return False
+
+
+class TestInterrupt:
+    def test_interrupt_propagates_and_closes_every_connection(self, service, monkeypatch, capsys):
+        """A Ctrl-C that arrives mid-request stops the server once that
+        request is answered: KeyboardInterrupt propagates out of
+        `serve_forever`, every connection is closed, nothing is printed."""
+        handle_line = service.handle_line
+
+        def interrupted(line):
+            signal.raise_signal(signal.SIGINT)
+            return handle_line(line)
+
+        monkeypatch.setattr(service, "handle_line", interrupted)
+        server = PredictionServer(("127.0.0.1", 0), service)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        stop = threading.Timer(10, server.shutdown)  # should the interrupt be lost
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as idle:
+                with socket.create_connection(server.server_address[:2], timeout=10) as busy:
+                    busy.sendall(b'{"kind": "observe", "url": "H", "session": "s1"}\n')
+                    stop.start()
+                    with pytest.raises(KeyboardInterrupt):
+                        server.serve_forever()
+                    assert read_to_eof(busy) == b'{"ok": true}\n'
+                    assert read_to_eof(idle) == b""
+        finally:
+            stop.cancel()
+            signal.signal(signal.SIGINT, previous)
+            server.server_close()
+        assert service.model.tick == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestSlotRelease:
-    @pytest.mark.parametrize("when", ["before start", "thread running", "thread done"])
-    def test_interrupt_in_thread_start_propagates(self, service, monkeypatch, capsys, when):
-        """A Ctrl-C or SIGTERM landing while the handler thread starts stops
-        the server, and the slot is given back once, whether the thread ran
-        or not."""
-        thread_errors, started = [], []
-        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
-        start = threading.Thread.start
-
-        def start_then_interrupt(thread):
-            if when != "before start":
-                start(thread)
-                started.append(thread)
-            if when == "thread done":
-                thread.join(timeout=10)
-            raise KeyboardInterrupt
-
-        server = PredictionServer(("127.0.0.1", 0), service)
-        try:
-            with socket.create_connection(server.server_address[:2], timeout=10) as conn:
-                conn.sendall(b'{"kind": "predict", "url": "H", "window": 1}\n')
-                conn.shutdown(socket.SHUT_WR)
-                monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
-                with pytest.raises(KeyboardInterrupt):
-                    server.handle_request()
-                monkeypatch.setattr(threading.Thread, "start", start)
-                reply = read_to_eof(conn)
-            for thread in started:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-            if when == "thread done":
-                assert json.loads(reply) == {"window": ["S"]}
-            # else the server closed the connection before or under its thread
-            assert free_slots(server) == service_mod.MAX_CONNECTIONS
-        finally:
-            server.server_close()
-        assert thread_errors == []
-        # a thread whose socket the server shut down under it ends quietly
-        assert "Traceback" not in capsys.readouterr().err
-
-
     def test_slots_survive_churn(self, service, monkeypatch):
-        """Many clients connecting at once, over a small cap, with frequent
-        thread switches: every slot comes back."""
+        """Many clients connecting at once, over a small cap: every slot comes
+        back."""
         monkeypatch.setattr("nextpage.service.MAX_CONNECTIONS", 3)
-        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
         answered = []
 
         def client(address):
             for _ in range(10):
                 with socket.create_connection(address, timeout=10) as conn:
                     try:
-                        conn.sendall(ask)
+                        conn.sendall(ASK)
                         conn.shutdown(socket.SHUT_WR)
                         answered.append(read_to_eof(conn))
                     except OSError:  # a refused connection may be reset
                         answered.append(b"reset")
 
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            server = PredictionServer(("127.0.0.1", 0), service)
-            with serving_on(server) as address:
-                clients = [threading.Thread(target=client, args=(address,)) for _ in range(8)]
-                for thread in clients:
-                    thread.start()
-                for thread in clients:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                for _ in range(500):
-                    if free_slots(server) == 3:
-                        break
-                    time.sleep(0.01)
-        finally:
-            sys.setswitchinterval(switch)
+        with serving(service) as address:
+            clients = [threading.Thread(target=client, args=(address,)) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert slots_come_back(address, 3)
         assert len(answered) == 80
-        assert b'{"window": ["S"]}\n' in answered
-        assert free_slots(server) == 3
+        assert ASK_REPLY in answered
 
 
 class TestIdleTimeout:
@@ -702,26 +684,60 @@ class TestPeerReset:
         """A client that resets its connection, idle or with a reply still to
         come, leaves no traceback; its slot comes back and the server keeps
         serving."""
-        ask = b'{"kind": "predict", "url": "H", "window": 1}\n'
-        server = PredictionServer(("127.0.0.1", 0), service)
-        with serving_on(server) as address:
+        with serving(service) as address:
             conn = socket.create_connection(address, timeout=10)
-            conn.sendall(ask)
-            with conn.makefile("rb") as reader:
-                assert json.loads(reader.readline()) == {"window": ["S"]}
+            conn.sendall(ASK)
+            assert reply_line(conn) == ASK_REPLY
             if pending is not None:
                 conn.sendall(pending)
             reset_by_peer(conn)
-            for _ in range(500):
-                if free_slots(server) == service_mod.MAX_CONNECTIONS:
-                    break
-                time.sleep(0.01)
-            assert free_slots(server) == service_mod.MAX_CONNECTIONS
-            with socket.create_connection(address, timeout=10) as again:
-                again.sendall(ask)
-                again.shutdown(socket.SHUT_WR)
-                assert json.loads(read_to_eof(again)) == {"window": ["S"]}
+            assert slots_come_back(address, service_mod.MAX_CONNECTIONS)
         assert capsys.readouterr().err == ""
+
+
+class TestLongReplies:
+    def test_pipelined_snapshots_are_held_one_at_a_time(self):
+        """A reply longer than READ_BYTES is sent before the next line is
+        answered, so snapshots pipelined in one read are never held together."""
+        n = 3000
+        text = "".join(f"/p{i} -> /p{(i + 1) % n} /p{i * 7 % n}\n" for i in range(n))
+        site = parse_graph(text + "@dominant /p0\n@home /p0\n")
+        service = PredictionService(build_model(site, rank_pages(site)), EngineConfig())
+        dump = len(service.snapshot_csv())
+        assert dump > service_mod.READ_BYTES
+        sock, sent = ScriptedSocket([b'{"kind": "snapshot"}\n' * 40]), []
+        sock.send = lambda data: sent.append(len(data)) or len(data)  # keeps no bytes
+        tracemalloc.start()
+        try:
+            drive(sock, service)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sent) > 40 * dump
+        assert peak < 8 * dump
+
+    def test_slow_reader_stalls_no_one(self, monkeypatch):
+        """A client that pipelines snapshots and reads no reply leaves the
+        others served, and is closed once it has left its replies unread for
+        IDLE_TIMEOUT_S."""
+        monkeypatch.setattr("nextpage.service.IDLE_TIMEOUT_S", 0.3)
+        site = parse_graph((DATA / "demo_site.txt").read_text())
+        service = PredictionService(build_model(site, rank_pages(site)), EngineConfig())
+        with serving(service) as address, socket.socket() as silent:
+            silent.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            silent.settimeout(10)
+            silent.connect(address)
+            silent.sendall(b'{"kind": "snapshot"}\n' * 2000)
+            time.sleep(0.1)
+            with socket.create_connection(address, timeout=2) as other:  # the deadline
+                other.sendall(b'{"kind": "predict", "url": "/", "window": 1}\n')
+                assert "window" in json.loads(reply_line(other))
+            time.sleep(service_mod.IDLE_TIMEOUT_S + 1)
+            received = 0
+            with suppress(ConnectionResetError):
+                while chunk := silent.recv(1 << 16):
+                    received += len(chunk)
+        assert received < 2000 * len(service.snapshot_csv())  # closed before all was sent
 
 
 class TestDeterminism:
