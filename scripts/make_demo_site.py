@@ -4,8 +4,9 @@
 The site imitates a small content portal: a home page fanning out to eight
 section roots (the dominant pages), each section holding twelve member pages
 that link forward within the section, back to their root, and occasionally
-across sections.  Everything is produced from fixed seeds and then written
-to data/ and tests/golden/, so reruns are byte-identical.
+across sections.  `perfbench/sites.site_text` renders it, the generator the
+benchmark scales up.  Everything is produced from fixed seeds and then
+written to data/ and tests/golden/, so reruns are byte-identical.
 
 Run from the repository root:
 
@@ -14,14 +15,18 @@ Run from the repository root:
 
 from __future__ import annotations
 
-import random
+import sys
 from pathlib import Path
 
 from nextpage.config import EngineConfig
 from nextpage.model import build_model, model_to_csv
 from nextpage.ranking import rank_pages
 from nextpage.simulate import generate_trace, replay, report_to_csv, trace_to_csv
-from nextpage.sitegraph import SiteGraph, render_graph
+from nextpage.sitegraph import SiteGraph, parse_graph, render_graph
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from sites import site_text  # noqa: E402  (perfbench/ is no package on the path)
 
 SECTIONS = 8
 MEMBERS = 12
@@ -32,51 +37,9 @@ SESSIONS = 30
 LENGTH = 20
 AFFINITY = 0.9
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def section_root(i: int) -> str:
-    return f"/s{i}/"
-
-
-def member(i: int, j: int) -> str:
-    return f"/s{i}/p{j}"
-
 
 def build_site(seed: int = SITE_SEED) -> SiteGraph:
-    rng = random.Random(seed)
-    pages = ["/"]
-    links: dict[str, tuple[str, ...]] = {}
-
-    for i in range(1, SECTIONS + 1):
-        pages.append(section_root(i))
-        pages.extend(member(i, j) for j in range(1, MEMBERS + 1))
-
-    links["/"] = tuple(section_root(i) for i in range(1, SECTIONS + 1))
-    for i in range(1, SECTIONS + 1):
-        links[section_root(i)] = tuple(member(i, j) for j in range(1, 5))
-        for j in range(1, MEMBERS + 1):
-            out = []
-            if j < MEMBERS:
-                out.append(member(i, j + 1))
-            out.append(section_root(i))
-            for _ in range(rng.randint(1, 2)):
-                out.append(member(i, rng.randint(1, MEMBERS)))
-            if rng.random() < CROSS_LINK_RATE:
-                other = rng.choice([k for k in range(1, SECTIONS + 1) if k != i])
-                out.append(member(other, rng.randint(1, MEMBERS)))
-            deduped = []
-            for url in out:
-                if url != member(i, j) and url not in deduped:
-                    deduped.append(url)
-            links[member(i, j)] = tuple(deduped)
-
-    return SiteGraph(
-        pages=tuple(pages),
-        links=links,
-        dominants=tuple(section_root(i) for i in range(1, SECTIONS + 1)),
-        home="/",
-    )
+    return parse_graph(site_text(SECTIONS, MEMBERS, CROSS_LINK_RATE, seed))
 
 
 def main() -> None:

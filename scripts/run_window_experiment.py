@@ -26,7 +26,7 @@ from nextpage.sitegraph import parse_graph
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def parse_args() -> argparse.Namespace:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--graph", default=str(ROOT / "data" / "demo_site.txt"))
     parser.add_argument("--windows", type=int, nargs="+", default=[0, 1, 2, 3, 4, 5])
@@ -35,11 +35,11 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--length", type=int, default=20)
     parser.add_argument("--affinity", type=float, default=0.9)
     parser.add_argument("--out", help="also write the table as CSV")
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main() -> None:
-    args = parse_args()
+def main(argv: list[str] | None = None) -> None:
+    args = parse_args(argv)
     site = parse_graph(Path(args.graph).read_text())
     ranks = rank_pages(site)
     cfg = EngineConfig()

@@ -6,7 +6,7 @@ first request on, adapts the model online from the access stream, and
 replays traces to measure hit ratio versus prediction-window size.
 """
 
-from .config import EngineConfig, load_config, parse_config
+from .config import EngineConfig, parse_config
 from .errors import (
     ConfigError,
     ConvergenceError,

@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .config import EngineConfig, load_config
+from .config import EngineConfig, parse_config
 from .errors import ConvergenceError, EngineError, FormatError
 from .model import build_model, model_from_csv, model_to_csv
 from .predictor import predict
@@ -29,7 +29,7 @@ EXIT_NO_CONVERGENCE = 5
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as e:
@@ -54,7 +54,7 @@ _CONFIG_FLAGS = {
 
 def _config(args) -> EngineConfig:
     """The config file's values (defaults without one), with CLI flags on top."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
+    cfg = parse_config(_read(args.config)) if getattr(args, "config", None) else EngineConfig()
     flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 

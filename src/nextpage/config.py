@@ -72,11 +72,3 @@ def parse_config(text: str) -> EngineConfig:
             raise ConfigError(f"bad value {value!r} for {key}", lineno) from None
     return EngineConfig(**values)
 
-
-def load_config(path: str) -> EngineConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return parse_config(text)

@@ -114,6 +114,9 @@ MAX_CONNECTIONS = 64
 # closed and its slot freed.
 IDLE_TIMEOUT_S = 120.0
 
+# Seconds between the serving loop's checks for `shutdown` and idle connections.
+POLL_INTERVAL_S = 0.5
+
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
@@ -191,7 +194,7 @@ class PredictionServer:
         self._shutdown_request = False
         self._is_shut_down = threading.Event()
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         """Serve until `shutdown` or an exception, then close every connection.
         SIGINT and SIGTERM are let in only while the loop waits, so that a
         final snapshot sees each request taken whole or not at all."""
@@ -202,7 +205,7 @@ class PredictionServer:
         try:
             while not self._shutdown_request:
                 signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
-                ready = sel.select(poll_interval)
+                ready = sel.select(POLL_INTERVAL_S)
                 signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
                 now = time.monotonic()
                 for key, _ in ready:
@@ -251,17 +254,24 @@ class PredictionServer:
         self.socket.close()
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write beside `path`, fsync, rename over it, then fsync the directory,
-    so a crash or an error mid-write leaves the previous file whole.  A path
-    that exists but is no regular file (a device or a pipe) cannot be renamed
-    over, and is written in place; a symlink's target is the file replaced."""
+def _write_target(path: str) -> tuple[str, str | None]:
+    """The file `write_atomic(path, ...)` writes and the one it renames that over,
+    None for a device or a pipe, which cannot be renamed over and is written in place."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory")
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
+        return path, None
+    path = os.path.realpath(path)
+    return f"{path}.tmp", path
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace `path`'s file with `text` by `_write_target`'s rule; a failed write leaves it whole."""
+    tmp, path = _write_target(path)
+    if path is None:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
-    path = os.path.realpath(path)
-    tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -290,14 +300,14 @@ def serve(
 
     Prints the bound address once ready, so `port=0` (pick a free port)
     is usable from scripts.  A snapshot path that cannot be written raises
-    OSError before the server binds.  Call it from the main thread: it takes
-    SIGINT and SIGTERM.
+    OSError before the server binds, not once observes are acknowledged.  Call
+    it from the main thread: it takes SIGINT and SIGTERM.
     """
     if snapshot_path is not None:
-        # Fail now, not at shutdown after every observe has been acknowledged.
-        tmp = f"{os.path.realpath(snapshot_path)}.tmp"
-        open(tmp, "w").close()
-        os.remove(tmp)
+        tmp, renamed_over = _write_target(snapshot_path)
+        if renamed_over is not None:
+            open(tmp, "w").close()
+            os.remove(tmp)
     service = PredictionService(model, cfg)
     server = PredictionServer((host, port), service)
     bound_host, bound_port = server.server_address[:2]

@@ -289,6 +289,23 @@ class TestConfigPlumbing:
         assert "unknown key windw" in capsys.readouterr().err
 
 
+def _argv_with(tmp_path, graph_file, model_file, command, flag):
+    """`command`'s arguments, with `flag` among them, each naming a valid file."""
+    trace, modlog, config = tmp_path / "trace.csv", tmp_path / "mods.txt", tmp_path / "engine.cfg"
+    trace.write_text("1,s1,H\n2,s1,S\n")
+    modlog.write_text("1 c\n")
+    config.write_text("window=1\n")
+    files = {"--graph": graph_file, "--model": model_file, "--trace": str(trace),
+             "--modlog": str(modlog), "--config": str(config)}
+    required = {"build": ["--graph"], "rank": ["--graph"], "predict": ["--model"],
+                "replay": ["--model", "--trace"], "gen-trace": ["--graph"],
+                "serve": ["--model"], "dump": ["--model"]}[command]
+    argv = [command]
+    for name in dict.fromkeys(required + [flag]):
+        argv += [name, files[name]]
+    return argv + {"predict": ["--url", "H"], "serve": ["--port", "0"]}.get(command, [])
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -345,25 +362,32 @@ class TestExitCodes:
     def test_undecodable_file_is_invalid(self, tmp_path, graph_file, model_file, command, flag, capsys):
         """A file that is not UTF-8 text gets a message and exit 4, from
         every file argument of every subcommand, with no traceback."""
-        trace, modlog, config = tmp_path / "trace.csv", tmp_path / "mods.txt", tmp_path / "engine.cfg"
-        trace.write_text("1,s1,H\n2,s1,S\n")
-        modlog.write_text("1 c\n")
-        config.write_text("window=1\n")
-        files = {"--graph": graph_file, "--model": model_file, "--trace": str(trace),
-                 "--modlog": str(modlog), "--config": str(config)}
-        required = {"build": ["--graph"], "rank": ["--graph"], "predict": ["--model"],
-                    "replay": ["--model", "--trace"], "gen-trace": ["--graph"],
-                    "serve": ["--model"], "dump": ["--model"]}[command]
+        argv = _argv_with(tmp_path, graph_file, model_file, command, flag)
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe bad\n")
-        argv = [command]
-        for name in dict.fromkeys(required + [flag]):
-            argv += [name, str(bad) if name == flag else files[name]]
-        argv += {"predict": ["--url", "H"], "serve": ["--port", "0"]}.get(command, [])
+        argv[argv.index(flag) + 1] = str(bad)
         assert main(argv) == EXIT_INVALID
         err = capsys.readouterr().err
         assert f"nextpage: {bad}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("build", "--graph"), ("build", "--modlog"), ("replay", "--trace"),
+         ("predict", "--config"), ("dump", "--model")],
+    )
+    def test_leading_bom_is_ignored(self, tmp_path, graph_file, model_file, command, flag, capsys):
+        """A graph, modlog, trace, config or model dump that starts with a
+        UTF-8 byte order mark reads as the same file without one."""
+        argv = _argv_with(tmp_path, graph_file, model_file, command, flag)
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        i = argv.index(flag) + 1
+        with_bom = tmp_path / "bom"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + Path(argv[i]).read_bytes())
+        argv[i] = str(with_bom)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_malformed_graph_is_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -490,6 +514,31 @@ class TestServeSubprocess:
         assert "listening on" not in proc.stdout
         assert proc.stderr.startswith("nextpage: ")
         assert not snap.parent.exists()
+
+    def test_directory_snapshot_path_is_io_before_listening(self, tmp_path, model_file):
+        """A directory cannot take the final snapshot, so the server refuses
+        it at start, as it does a missing directory."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "nextpage", "serve", "--model", model_file,
+             "--port", "0", "--snapshot-out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=30,
+        )
+        assert proc.returncode == EXIT_IO
+        assert "listening on" not in proc.stdout
+        assert proc.stderr.startswith("nextpage: ")
+        assert not tmp_path.with_name(tmp_path.name + ".tmp").exists()
+
+    def test_snapshot_to_a_device_is_written_in_place(self, tmp_path, model_file):
+        def talk(host, port):
+            with socket.create_connection((host, port), timeout=10) as conn, conn.makefile("rwb") as fh:
+                assert self.observe(fh, "H") == {"ok": True}
+
+        code, _ = _serve(model_file, os.devnull, talk, signal.SIGTERM)
+        assert code == 0
+        assert not os.path.isfile(os.devnull)
 
     def test_pipelined_demo_trace_then_sigterm(self, tmp_path):
         """The demo trace's observe/predict stream, sent in one go, is

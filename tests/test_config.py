@@ -1,6 +1,6 @@
 import pytest
 
-from nextpage.config import DEFAULT_WINDOW, EngineConfig, load_config, parse_config
+from nextpage.config import DEFAULT_WINDOW, EngineConfig, parse_config
 from nextpage.errors import ConfigError
 
 
@@ -79,7 +79,3 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="damping"):
             parse_config("damping=1.5\n")
 
-    def test_load_config(self, tmp_path):
-        path = tmp_path / "engine.cfg"
-        path.write_text("window=4\n")
-        assert load_config(str(path)).window == 4
