@@ -13,10 +13,12 @@ A connection silent for IDLE_TIMEOUT_S is closed, and so, with no traceback,
 is one its peer resets.  Requests may be pipelined: replies come back in
 request order, and those to the lines of one read go out in one send, with
 TCP_NODELAY, so none waits on the client's delayed ACK.  One thread answers
-every request, one at a time; each observe advances the model's logical
-clock one tick, then runs the sweeps due at that tick on the schedule replay
-uses (`updates.run_sweeps`), so a given request sequence always leaves the
-same model behind.
+every request, one at a time.  An observe takes replay's step for an event:
+the sweeps due before its tick (`updates.run_sweeps`), then the write, one
+tick on the model's logical clock.  So a predict after observe m answers
+replay's window for tick m, and a request sequence always leaves the same
+model.  A snapshot runs no sweep: a model loaded from one taken at a sweep
+tick owes that sweep, and runs it before its first observe.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class PredictionService:
     def __init__(self, model: Model, cfg: EngineConfig):
         self.model = model
         self.cfg = cfg
+        self.due = model.tick  # every sweep before this tick has run
 
     def handle(self, request: object) -> dict:
         if not isinstance(request, dict):
@@ -89,10 +92,11 @@ class PredictionService:
         url = request.get("url")
         if not isinstance(url, str):
             return {"error": "observe needs a string 'url'"}
-        session = request.get("session", "")
         tick = self.model.tick + 1
-        apply_event(self.model, SessionEvent(session_id=str(session), url=url, tick=tick))
-        run_sweeps(self.model, self.cfg, tick - 1, tick)
+        # an unknown page is refused by apply_event, so it runs no sweep either
+        if tick > self.due and url in self.model.records:
+            self.due = run_sweeps(self.model, self.cfg, self.due - 1, tick - 1)
+        apply_event(self.model, SessionEvent(str(request.get("session", "")), url, tick))
         return {"ok": True}
 
     def snapshot_csv(self) -> str:
@@ -269,7 +273,9 @@ def write_atomic(path: str, text: str) -> None:
     """Replace `path`'s file with `text` by `_write_target`'s rule; a failed write leaves it whole."""
     tmp, path = _write_target(path)
     if path is None:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # opened non-blocking, so that a FIFO with no reader fails at once (ENXIO)
+        with open(tmp, "w", encoding="utf-8", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
+            os.set_blocking(fh.fileno(), True)
             fh.write(text)
         return
     try:

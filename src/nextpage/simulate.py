@@ -1,10 +1,10 @@
 """Trace replay against the full engine, plus a synthetic trace generator.
 
-Replay drives predict -> observe -> update for every trace event while
-maintaining one simulated prefetch cache per session.  A request is a hit
+Replay feeds every trace event to the update engine, then predicts from it,
+while maintaining one simulated prefetch cache per session.  A request is a hit
 when its URL was prefetched earlier in the same session; the first request of
-a session is never scored.  Sweeps follow the one schedule in
-`updates.run_sweeps`, which the service shares.
+a session is never scored.  The sweeps due before an event's tick run just
+before that event, in replay as in the service (`updates.run_sweeps`).
 
 The generator produces class-affine surfing sessions: from each page the
 next request follows an out-link, staying inside the current class with the

@@ -84,13 +84,10 @@ def _resolve_dominants(declared, home, links):
         return tuple(declared)
     if home is None:
         raise GraphFormatError("no @dominant pages and no @home page declared")
-    seeds = []
-    for t in links.get(home, ()):
-        if t not in seeds:
-            seeds.append(t)
+    seeds = tuple(dict.fromkeys(links.get(home, ())))
     if not seeds:
         raise GraphFormatError(f"home page {home} has no out-links to use as dominants")
-    return tuple(seeds)
+    return seeds
 
 
 def parse_graph(text: str) -> SiteGraph:
@@ -185,10 +182,7 @@ class ModificationLog:
 
     def latest(self) -> dict[str, int]:
         """Last modification tick per URL."""
-        out: dict[str, int] = {}
-        for url, tick in self.entries:
-            out[url] = tick
-        return out
+        return dict(self.entries)
 
 
 def parse_modlog(text: str) -> ModificationLog:

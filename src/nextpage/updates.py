@@ -23,9 +23,9 @@ of the same event stream produces the same model.  `apply_event` records one
 event and only then advances the clock, so an event for an unknown page is
 rejected without touching the model.  `run_sweeps` is the one sweep
 schedule: both sweeps, demotion first, at every positive multiple of
-`sweep_period`.  Replay and the service both call it, so the same event
-stream leaves the same model on either path; it returns the tick of the
-next sweep due, so replay calls it only once a tick passes that one.
+`sweep_period`.  Replay and the service take one step per write: the
+sweeps due before its tick, then `apply_event`.  `run_sweeps` returns the
+tick of the next sweep due, so a caller calls it only once a write passes it.
 """
 
 from __future__ import annotations

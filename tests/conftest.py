@@ -11,6 +11,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+# More examples, for a separate run: `pytest --hypothesis-profile deep`.  Some
+# defects show only past the default 100 examples.
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=3000)
 
 
 # Six-page fixture used across the suite.  Hand-picked so that every

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from nextpage.config import EngineConfig
 from nextpage.sitegraph import SiteGraph
 
 _NAME = st.text(
@@ -27,3 +28,13 @@ def site_graphs(draw, min_pages=1, max_pages=8, allow_home=True):
     dominants = tuple(draw(st.permutations(pages))[:k])
     home = draw(st.sampled_from(pages)) if allow_home and draw(st.booleans()) else None
     return SiteGraph(pages=tuple(pages), links=links, dominants=dominants, home=home)
+
+
+def sweep_configs():
+    """Engine configs whose sweeps fire often within a short stream."""
+    return st.builds(
+        EngineConfig,
+        demote_threshold=st.integers(1, 12),
+        recency_window=st.integers(1, 6),
+        sweep_period=st.sampled_from([1, 2, 3, 5, 7]),
+    )

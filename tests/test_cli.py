@@ -540,6 +540,34 @@ class TestServeSubprocess:
         assert code == 0
         assert not os.path.isfile(os.devnull)
 
+    def test_snapshot_to_a_fifo_without_a_reader_is_io(self, tmp_path, model_file):
+        """Nothing reads the FIFO, so the final snapshot cannot be written:
+        the server exits 3 at once, rather than wait for a reader that may
+        never come.  A hung server is killed by `_serve`."""
+        fifo = tmp_path / "snap.fifo"
+        os.mkfifo(fifo)
+        code, _ = _serve(model_file, fifo, lambda host, port: None, signal.SIGTERM)
+        assert code == EXIT_IO
+
+    def test_snapshot_to_a_fifo_with_a_reader_is_written(self, tmp_path, model_file):
+        def talk(host, port):
+            with socket.create_connection((host, port), timeout=10) as conn, conn.makefile("rwb") as fh:
+                assert self.observe(fh, "H") == {"ok": True}
+
+        fifo = tmp_path / "snap.fifo"
+        os.mkfifo(fifo)
+        # opened before the server writes; the snapshot fits the pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _ = _serve(model_file, fifo, talk, signal.SIGTERM)
+            snapshot = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        expected = PredictionService(model_from_csv(Path(model_file).read_text()), EngineConfig())
+        expected.handle({"kind": "observe", "url": "H", "session": "s1"})
+        assert snapshot == expected.snapshot_csv()
+
     def test_pipelined_demo_trace_then_sigterm(self, tmp_path):
         """The demo trace's observe/predict stream, sent in one go, is
         answered as an in-process service answers it, and SIGTERM leaves

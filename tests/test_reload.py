@@ -15,7 +15,7 @@ from nextpage.service import PredictionService
 from nextpage.simulate import replay
 from nextpage.sitegraph import ModificationLog, parse_graph
 from nextpage.updates import SessionEvent, record_modification, run_sweeps
-from strategies import site_graphs
+from strategies import site_graphs, sweep_configs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -81,15 +81,6 @@ class TestDumpKeepsState:
         }
 
 
-def sweep_configs():
-    return st.builds(
-        EngineConfig,
-        demote_threshold=st.integers(1, 12),
-        recency_window=st.integers(1, 6),
-        sweep_period=st.sampled_from([1, 2, 3, 5, 7]),
-    )
-
-
 @st.composite
 def built_models(draw):
     """A site, a sweep config and the arguments to build its model with."""
@@ -100,8 +91,8 @@ def built_models(draw):
     return g, cfg, levels, damping
 
 
-def build(g, levels, damping):
-    return build_model(g, rank_pages(g, damping=damping), levels=levels)
+def build(g, levels, damping, dm_log=None):
+    return build_model(g, rank_pages(g, damping=damping), levels=levels, dm_log=dm_log)
 
 
 def steps_on(pages):
@@ -159,39 +150,98 @@ class TestSplitReplay:
         assert candidate_orders(reloaded) == candidate_orders(in_memory)
 
 
+class TestOwedSweep:
+    @given(built_models(), st.data())
+    def test_a_replay_dumps_own_sweep_runs_again_as_a_no_op(self, inputs, data):
+        """A service loaded from a dump runs the sweep at the dump's tick, if
+        there is one, before its first observe.  A replay dump has had that
+        sweep already, so running it again changes nothing."""
+        g, cfg, levels, damping = inputs
+        steps = data.draw(steps_on(g.pages))
+        model = build(g, levels, damping)
+        replay_part(model, cfg, steps, 1, len(steps), 0)
+        dump = model_to_csv(model)
+        reloaded = model_from_csv(dump)
+        run_sweeps(reloaded, cfg, reloaded.tick - 1, reloaded.tick)
+        assert model_to_csv(reloaded) == dump
+        assert candidate_orders(reloaded) == candidate_orders(model_from_csv(dump))
+
+
+def request_lines(draw, pages):
+    """Observe/predict request lines on `pages`."""
+    steps = draw(
+        st.lists(st.tuples(st.sampled_from(["observe", "predict"]), st.sampled_from(pages)), max_size=60)
+    )
+    return [
+        json.dumps({"kind": kind, "url": url, "session": "s1", "window": 3}) for kind, url in steps
+    ]
+
+
 @st.composite
 def split_services(draw):
     """A built model's inputs, observe/predict request lines and a split index."""
     g, cfg, levels, damping = draw(built_models())
-    steps = draw(
-        st.lists(
-            st.tuples(st.sampled_from(["observe", "predict"]), st.sampled_from(g.pages)),
-            max_size=60,
-        )
-    )
-    lines = [
-        json.dumps({"kind": kind, "url": url, "session": "s1", "window": 3})
-        for kind, url in steps
-    ]
+    lines = request_lines(draw, g.pages)
     return g, cfg, levels, damping, lines, draw(st.integers(0, len(lines)))
+
+
+@st.composite
+def modlogs(draw, pages):
+    """A modification log on `pages` at ticks 0..20, in tick order."""
+    entries = draw(st.lists(st.tuples(st.sampled_from(pages), st.integers(0, 20)), max_size=8))
+    return ModificationLog(entries=tuple(sorted(entries, key=lambda entry: entry[1])))
+
+
+def assert_restart_changes_nothing(model, cfg, lines, split):
+    """A service restarted from its snapshot after `lines[:split]` answers
+    the rest of the lines and ends exactly like the one that kept running."""
+    running = PredictionService(model, cfg)
+    for line in lines[:split]:
+        running.handle_line(line)
+    restarted = PredictionService(model_from_csv(running.snapshot_csv()), cfg)
+    assert restarted.model.tick == running.model.tick
+
+    for line in lines[split:]:
+        assert restarted.handle_line(line) == running.handle_line(line)
+    assert restarted.snapshot_csv() == running.snapshot_csv()
+    assert candidate_orders(restarted.model) == candidate_orders(running.model)
+
+
+def observe(url):
+    return json.dumps({"kind": "observe", "url": url, "session": "s1"})
+
+
+def ask(url):
+    return json.dumps({"kind": "predict", "url": url, "window": 2})
 
 
 class TestSplitService:
     @given(split_services())
     def test_restart_from_a_snapshot_changes_nothing(self, case):
-        """A service restarted from its snapshot answers the rest of the
-        stream and ends exactly like the one that kept running."""
         g, cfg, levels, damping, lines, split = case
-        running = PredictionService(build(g, levels, damping), cfg)
-        for line in lines[:split]:
-            running.handle_line(line)
-        restarted = PredictionService(model_from_csv(running.snapshot_csv()), cfg)
-        assert restarted.model.tick == running.model.tick
+        assert_restart_changes_nothing(build(g, levels, damping), cfg, lines, split)
 
-        for line in lines[split:]:
-            assert restarted.handle_line(line) == running.handle_line(line)
-        assert restarted.snapshot_csv() == running.snapshot_csv()
-        assert candidate_orders(restarted.model) == candidate_orders(running.model)
+    @given(split_services(), st.data())
+    def test_restart_of_a_model_built_with_a_modification_log(self, case, data):
+        """The built model's clock starts at its newest modification tick,
+        often a sweep tick whose sweep both services then owe."""
+        g, cfg, levels, damping, lines, split = case
+        log = data.draw(modlogs(g.pages))
+        assert_restart_changes_nothing(build(g, levels, damping, log), cfg, lines, split)
+
+    def test_snapshot_at_a_sweep_tick_comes_before_the_sweep(self):
+        """Observe 1 owes sweep 1, which demotes the idle page `00`.  The
+        snapshot taken then has not had it; the restarted service owes it,
+        as the running one does, and both run it before their next observe."""
+        g = parse_graph("0 ->\n00 -> 00\n@dominant 0\n")
+        cfg = EngineConfig(sweep_period=1, demote_threshold=1)
+        lines = [observe("0"), ask("0"), ask("00"), observe("00"), ask("0"), ask("00")]
+        assert_restart_changes_nothing(build(g, None, 0.85), cfg, lines, 1)
+        running = PredictionService(build(g, None, 0.85), cfg)
+        running.handle_line(observe("0"))
+        assert running.model.settled("00").level == 2  # sweep 1 is owed
+        running.handle_line(observe("0"))
+        assert running.model.settled("00").level == 1
 
 
 @st.composite

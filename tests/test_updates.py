@@ -36,7 +36,7 @@ from oracles import (
     eager_sweeps,
     rewind_then_settle_access,
 )
-from strategies import site_graphs
+from strategies import site_graphs, sweep_configs
 
 
 @pytest.fixture
@@ -525,14 +525,6 @@ def drive(model, events, cfg, engine, previous=0):
     return orders
 
 
-sweep_configs = st.builds(
-    EngineConfig,
-    demote_threshold=st.integers(1, 12),
-    recency_window=st.integers(1, 6),
-    sweep_period=st.sampled_from([1, 2, 3, 5, 7]),
-)
-
-
 @st.composite
 def differential_cases(draw):
     """A site, two sweep configs, and two event streams: the first with a
@@ -559,7 +551,7 @@ def differential_cases(draw):
     split = draw(st.integers(0, len(first)))
     resume = draw(st.sampled_from([0, end]))
     second, _ = stream(resume)
-    return g, draw(sweep_configs), draw(sweep_configs), first, split, second, resume
+    return g, draw(sweep_configs()), draw(sweep_configs()), first, split, second, resume
 
 
 class TestSettleOnRead:
