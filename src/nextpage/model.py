@@ -80,13 +80,13 @@ def _settle(s: Schedule, rec: PageRecord) -> None:
     s1 >= ts + threshold and then every `step` ticks (the threshold rounded
     up to whole periods) until it reaches level 1.
     """
-    period = s.period
-    due = rec.ts + s.threshold
-    s1 = due + (s.last - due) % period
-    if s1 < s.first:
-        s1 = s.first
-    step = -(-s.threshold // period) * period
-    k = 1 + (s.last - s1) // step
+    first, last, threshold, period = s
+    due = rec.ts + threshold
+    s1 = due + (last - due) % period
+    if s1 < first:
+        s1 = first
+    step = -(-threshold // period) * period
+    k = 1 + (last - s1) // step
     if k >= rec.level:
         k = rec.level - 1
     rec.level -= k

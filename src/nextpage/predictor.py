@@ -6,15 +6,16 @@ ordinal rank wins.  Links in the same class as the requested page are
 preferred over everything else, so the full candidate order is: class match,
 then priority, then URL as the final determinizer.
 
-`predict` ranks plain key tuples, (class match, level, ordinal, url, class);
-a `Candidate` is built from its key only when `Prediction.candidates` is read.
+`predict` sorts plain key tuples ascending, (no class match, -level,
+-ordinal, url, class), so the best candidate comes first and URL order
+breaks full ties; a `Candidate` is built from its key only when
+`Prediction.candidates` is read, with the negated fields turned back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import UnknownPageError, ValidationError
@@ -44,21 +45,18 @@ def compare_level_rank(a: LevelRank, b: LevelRank) -> int:
     return (a > b) - (a < b)
 
 
-# The first three fields of a ranked key are the precedence.
-_PRECEDENCE = itemgetter(0, 1, 2)
-
-
 @dataclass(frozen=True, init=False)
 class Prediction:
     """Ordered candidates for one request; `window` is a prefix of their URLs.
 
-    Equal predictions have equal ranked keys, hence equal candidates.  The
-    hash leaves the key list out, since a list has none.
+    Equal predictions have equal ranked keys, hence equal candidates.  Hash
+    and repr leave the keys out: a list has no hash, and a key reads negated.
     """
 
     source: str
     window: tuple[str, ...]
-    _ranked: list[tuple[bool, int, int, str, int]] = field(hash=False)
+    # Ascending sort keys: (no class match, -level, -ordinal, url, class).
+    _ranked: list[tuple[bool, int, int, str, int]] = field(hash=False, repr=False)
 
     def __init__(self, source, window, _ranked):
         # Replay and the service build one per request.  Writing the instance
@@ -74,8 +72,8 @@ class Prediction:
         """Every distinct out-link, best first, built from the ranked keys on
         each read."""
         return tuple(
-            Candidate(url, LevelRank(level, ordinal), class_no, match)
-            for match, level, ordinal, url, class_no in self._ranked
+            Candidate(url, LevelRank(-level, -ordinal), class_no, not mismatch)
+            for mismatch, level, ordinal, url, class_no in self._ranked
         )
 
 
@@ -108,7 +106,6 @@ def predict(model: Model, url: str, window: int) -> Prediction:
         if rec.ts <= cutoff and rec.level > 1:
             _settle(s, rec)
         class_no = rec.class_no
-        append((class_no == source_class, rec.level, rec.ordinal, rec.url, class_no))
-    # The sort is stable under reverse=True, so URL order breaks full ties.
-    ranked.sort(key=_PRECEDENCE, reverse=True)
+        append((class_no != source_class, -rec.level, -rec.ordinal, rec.url, class_no))
+    ranked.sort()
     return Prediction(url, tuple([key[3] for key in ranked[:window]]), ranked)

@@ -110,16 +110,16 @@ def replay(
         if isinstance(event, ModificationEvent):
             apply_event(model, event)
             continue
-        sid = event.session_id
+        sid, url, _ = event
         cache = caches.get(sid)
         if cache is None:
             stats[sid] = SessionStats()
             cache = caches[sid] = set()
-        elif event.url in cache:
+        elif url in cache:
             stats[sid].hits += 1
             hits += 1
         apply_event(model, event)
-        prediction = predict(model, event.url, window)
+        prediction = predict(model, url, window)
         if window_only_cache:
             caches[sid] = set(prediction.window)
         else:

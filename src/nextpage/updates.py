@@ -68,10 +68,11 @@ def record_access(model: Model, url: str, now: int) -> bool:
             _rewind(model, now)
         elif rec.level > 1 and rec.ts <= s.last - s.threshold:
             _settle(s, rec)
-    if rec.level >= model.levels:
+    levels = model.levels
+    if rec.level >= levels:
         rec.ts = now
         return False
-    if rec.lc < model.levels - 1:
+    if rec.lc < levels - 1:
         rec.lc += 1
         rec.ts = now
         return False
@@ -164,13 +165,15 @@ def apply_event(model: Model, event: SessionEvent | ModificationEvent) -> None:
     model, clock included, untouched.
     """
     if isinstance(event, SessionEvent):
-        record_access(model, event.url, event.tick)
+        record = record_access
     elif isinstance(event, ModificationEvent):
-        record_modification(model, event.url, event.tick)
+        record = record_modification
     else:
         raise TypeError(f"unsupported event {event!r}")
-    if event.tick > model.tick:
-        model.tick = event.tick
+    tick = event.tick
+    record(model, event.url, tick)
+    if tick > model.tick:
+        model.tick = tick
 
 
 def run_sweeps(model: Model, cfg: EngineConfig, after: int, upto: int) -> int:

@@ -28,8 +28,10 @@ from nextpage.ranking import rank_pages
 from nextpage.service import PredictionService
 from nextpage.simulate import parse_trace
 from nextpage.sitegraph import parse_graph
+from oracles import reference_predict
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS.parent / "data"
 
 
 @pytest.fixture
@@ -116,6 +118,30 @@ class TestPredict:
         code = main(["predict", "--model", model_file, "--url", "zzz"])
         assert code == EXIT_INVALID
         assert "unknown page zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [0, 3, 9])
+    def test_every_demo_page_matches_the_reference(self, window, capsys):
+        """The JSON users see decodes the ranked keys back to the reference's
+        candidates: a sign slip in `Prediction.candidates` fails here."""
+        path = TESTS / "golden" / "demo_model_post_replay.csv"
+        model = model_from_csv(path.read_text())
+        for url in sorted(model.records):
+            argv = ["predict", "--model", str(path), "--url", url, "--window", str(window)]
+            assert main(argv) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            ref = reference_predict(model, url, window)
+            assert payload["source"] == url
+            assert payload["window"] == list(ref.window)
+            assert payload["candidates"] == [
+                {
+                    "url": c.url,
+                    "level": c.priority.level,
+                    "rank": c.priority.rank,
+                    "class": c.class_no,
+                    "class_match": c.class_match,
+                }
+                for c in ref.candidates
+            ]
 
 
 class TestGenTrace:

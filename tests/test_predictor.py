@@ -223,6 +223,15 @@ class TestPredictionRecord:
         assert pred != predict(model, "H", window=2)
         assert pred != (pred.source, pred.candidates, pred.window)
 
+    def test_repr_shows_source_and_window_only(self):
+        """The ranked keys hold negated fields, so the repr leaves them out."""
+        g = parse_graph((DATA / "demo_site.txt").read_text())
+        pred = predict(build_model(g, rank_pages(g)), "/", window=3)
+        text = repr(pred)
+        assert f"source={pred.source!r}" in text
+        assert f"window={pred.window!r}" in text
+        assert "_ranked" not in text
+
 
 class TestLinkRecords:
     def test_built_once_per_page_distinct_and_sorted(self):
